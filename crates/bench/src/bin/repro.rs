@@ -42,7 +42,8 @@
 //!                         exposition instead)
 //!   --trace-out <file>    write a Chrome trace-event JSON of the run
 //!                         (loadable in Perfetto / chrome://tracing)
-//!   --trace-summary       print a per-span-kind self-time summary table
+//!   --trace-summary       print a per-span-kind table (exact count/total/self,
+//!                         ~bucketed p50/p95/p99)
 //!   --observe <addr>      serve read-only GET /metrics, /status, and
 //!                         /healthz on <addr> while the experiments run
 //! ```

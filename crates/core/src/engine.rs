@@ -11,7 +11,9 @@ use crate::Config;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sixgen_addr::{NybbleAddr, NybbleTree, PackedMasks, Range};
-use sixgen_obs::{maybe_span, Counter, Histogram, MetricsRegistry, PhaseTimer, SpanId, TraceSink};
+use sixgen_obs::{
+    Counter, Histogram, MetricsRegistry, OpenSpan, Phase, PhaseTimer, Span, SpanId, TraceSink,
+};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -281,20 +283,11 @@ impl SixGen {
     ///
     /// Returns the **aggregate busy time** spent in growth evaluation
     /// across all participating threads, feeding [`RunStats::cpu_time`]:
-    ///
-    /// * serial mode — the wall time of the evaluation loop (one thread,
-    ///   so busy time and wall time coincide);
-    /// * parallel mode — the sum of each worker's busy interval (thread
-    ///   body start to finish), plus the serial failover retries.
-    ///
-    /// The semantics are deliberately identical across modes — total CPU
-    /// time burned evaluating growths — so `cpu_time` is comparable across
-    /// `threads` settings and `cpu_time / wall_time` approximates the
-    /// achieved evaluation parallelism. Two measurement caveats are
-    /// accepted: a worker's interval includes its share of per-cluster
-    /// `catch_unwind`/metrics bookkeeping, and an evaluation that panicked
-    /// and was retried contributes both attempts (the failed one is inside
-    /// its worker's interval and cannot be separated out).
+    /// the sum of every completed evaluation's `engine/growth_eval` phase,
+    /// in serial and parallel mode alike, so `cpu_time` is comparable
+    /// across `threads` settings and `cpu_time / wall_time` approximates
+    /// the achieved evaluation parallelism. An evaluation that panics
+    /// contributes nothing; its serial retry is counted.
     ///
     /// [`RunStats::cpu_time`]: crate::RunStats::cpu_time
     ///
@@ -342,12 +335,12 @@ impl SixGen {
             n => n,
         };
         let Some(pool) = pool.filter(|_| threads > 1 && stale.len() >= 64) else {
-            let start = Instant::now();
+            let mut busy = Duration::ZERO;
             for &i in stale {
                 slots[i].cached =
-                    self.compute_growth(&slots[i].cluster, false, metrics, trace, parent);
+                    self.compute_growth(&slots[i].cluster, false, metrics, trace, parent, &mut busy);
             }
-            return start.elapsed();
+            return busy;
         };
 
         // Parallel: chunk the stale indices into jobs on the persistent
@@ -372,8 +365,8 @@ impl SixGen {
                 let metrics = metrics.cloned();
                 let collected = Arc::clone(&collected);
                 Box::new(move || {
-                    let start = Instant::now();
                     let trace = engine.config.trace.clone();
+                    let mut busy = Duration::ZERO;
                     let out: Vec<(usize, Option<Cached>)> = work
                         .iter()
                         .map(|(i, cluster)| {
@@ -384,13 +377,14 @@ impl SixGen {
                                     metrics.as_ref(),
                                     trace.as_deref(),
                                     parent,
+                                    &mut busy,
                                 )
                             }))
                             .ok();
                             (*i, cached)
                         })
                         .collect();
-                    collected.lock().unwrap().push((out, start.elapsed()));
+                    collected.lock().unwrap().push((out, busy));
                 }) as Box<dyn FnOnce() + Send + 'static>
             })
             .collect();
@@ -407,8 +401,8 @@ impl SixGen {
             .enumerate()
             .map(|(pos, &i)| (i, pos))
             .collect();
-        for (out, elapsed) in collected.lock().unwrap().drain(..) {
-            cpu += elapsed;
+        for (out, busy) in collected.lock().unwrap().drain(..) {
+            cpu += busy;
             for (i, cached) in out {
                 seen[position[&i]] = true;
                 match cached {
@@ -431,12 +425,10 @@ impl SixGen {
         failed.sort_unstable_by_key(|i| position[i]);
         for i in failed {
             *worker_panics += 1;
-            let start = Instant::now();
             slots[i].cached = catch_unwind(AssertUnwindSafe(|| {
-                self.compute_growth(&slots[i].cluster, false, metrics, trace, parent)
+                self.compute_growth(&slots[i].cluster, false, metrics, trace, parent, &mut cpu)
             }))
             .unwrap_or(Cached::Exhausted);
-            cpu += start.elapsed();
         }
         cpu
     }
@@ -479,7 +471,8 @@ impl SixGen {
     }
 
     /// Computes one cluster's best growth with a deterministic per-cluster
-    /// tie-break stream derived from the run seed and the cluster's range.
+    /// tie-break stream derived from the run seed and the cluster's range,
+    /// adding the evaluation's duration to `busy`.
     ///
     /// With metrics enabled, records the candidate-set size and distinct
     /// ranges evaluated (deterministic — histogram totals are identical
@@ -496,6 +489,7 @@ impl SixGen {
         metrics: Option<&EngineMetrics>,
         trace: Option<&TraceSink>,
         parent: SpanId,
+        busy: &mut Duration,
     ) -> Cached {
         if let Some(injection) = &self.config.panic_injection {
             if cluster.range.size() == injection.range_size
@@ -504,9 +498,9 @@ impl SixGen {
                 panic!("injected growth panic (test hook)");
             }
         }
-        let started = Instant::now();
-        let mut span = maybe_span(trace, "engine", "growth_eval", parent);
-        span.attr("cluster", cluster.range.min_address().bits() as u64);
+        let mut phase = Phase::start(trace, "engine", "growth_eval", parent)
+            .histogram(metrics.map(|m| &*m.growth_eval));
+        phase.attr("cluster", cluster.range.min_address().bits() as u64);
         let mut state = splitmix64_seed(
             self.config.rng_seed,
             cluster.range.min_address().bits(),
@@ -527,14 +521,14 @@ impl SixGen {
                 tie_break,
             )
         };
-        span.attr("candidates", eval.candidates);
-        span.attr("ranges_evaluated", eval.ranges_evaluated);
+        phase.attr("candidates", eval.candidates);
+        phase.attr("ranges_evaluated", eval.ranges_evaluated);
         if let Some(growth) = &eval.growth {
-            span.attr(
+            phase.attr(
                 "density_ppm",
                 (growth.seed_count as f64 / growth.range_size as f64 * 1e6) as u64,
             );
-            span.attr(
+            phase.attr(
                 "range_size",
                 u64::try_from(growth.range_size).unwrap_or(u64::MAX),
             );
@@ -542,8 +536,8 @@ impl SixGen {
         if let Some(m) = metrics {
             m.candidate_set_size.record(eval.candidates);
             m.ranges_evaluated.record(eval.ranges_evaluated);
-            m.growth_eval.record_duration(started.elapsed());
         }
+        *busy += Duration::from_nanos(phase.end());
         match eval.growth {
             Some(growth) => Cached::Ready(growth),
             None => Cached::Exhausted,
@@ -679,9 +673,9 @@ pub struct Session {
     /// cumulative figure lives in [`RunStats::wall_time`]).
     deadline: Option<Instant>,
     metrics: Option<EngineMetrics>,
-    /// Id of this segment's root `engine/run` span (recorded at session
-    /// start; per-round phase spans parent under it).
-    root: SpanId,
+    /// This segment's root `engine/run` span, opened at `started` and
+    /// recorded by `finish`, so it encloses every round's phase spans.
+    root: OpenSpan,
     /// Worker pool for parallel cache fills: [`Config::pool`] if set,
     /// else a private pool created at start when `threads > 1`.
     pool: Option<Arc<crate::WorkerPool>>,
@@ -701,13 +695,7 @@ impl Session {
         let started = Instant::now();
         let deadline = engine.config.time_limit.map(|limit| started + limit);
         let metrics = engine.config.metrics.as_deref().map(EngineMetrics::new);
-        let root = {
-            let trace = engine.config.trace.as_deref();
-            let mut root = maybe_span(trace, "engine", "run", engine.config.trace_parent);
-            root.attr("seeds", engine.shared.seeds.len() as u64);
-            root.attr("budget", engine.config.budget);
-            root.id()
-        };
+        let root = Self::open_root(&engine, started, None);
         let pool = Self::session_pool(&engine);
         let mut budget = BudgetTracker::new(engine.config.budget);
         let mut slots: Vec<Slot> = Vec::with_capacity(engine.shared.seeds.len());
@@ -765,6 +753,21 @@ impl Session {
             session.publish_session_end(termination);
         }
         session
+    }
+
+    /// Opens the segment's `engine/run` root span at `started`, detached
+    /// from the sink borrow so the session can hold it until `finish`.
+    fn open_root(engine: &SixGen, started: Instant, resumed_at_round: Option<u64>) -> OpenSpan {
+        let mut root = match engine.config.trace.as_deref() {
+            Some(sink) => sink.span_at("engine", "run", engine.config.trace_parent, started),
+            None => Span::inert(),
+        };
+        root.attr("seeds", engine.shared.seeds.len() as u64);
+        root.attr("budget", engine.config.budget);
+        if let Some(round) = resumed_at_round {
+            root.attr("resumed_at_round", round);
+        }
+        root.detach()
     }
 
     /// The pool used for parallel cache fills: the configured shared
@@ -833,14 +836,7 @@ impl Session {
         // of shipping it in the checkpoint. The checkpointed list is
         // already sorted and deduplicated, so `new` is a no-op reorder.
         let engine = SixGen::new(checkpoint.seeds, config);
-        let root = {
-            let trace = engine.config.trace.as_deref();
-            let mut root = maybe_span(trace, "engine", "run", engine.config.trace_parent);
-            root.attr("seeds", engine.shared.seeds.len() as u64);
-            root.attr("budget", engine.config.budget);
-            root.attr("resumed_at_round", checkpoint.rounds);
-            root.id()
-        };
+        let root = Self::open_root(&engine, started, Some(checkpoint.rounds));
         let pool = Self::session_pool(&engine);
         let slots: Vec<Slot> = checkpoint
             .slots
@@ -1002,13 +998,11 @@ impl Session {
         let total_seeds = self.engine.shared.seeds.len() as u64;
         let trace = self.engine.config.trace.clone();
         let trace = trace.as_deref();
-        // Per-phase durations for the round's progress event, captured
-        // from the same `Instant` reads the phase timers already perform.
-        let mut phase_ns = sixgen_obs::PhaseNanos::default();
-
-        let phase_started = Instant::now();
+        // Each phase's guard reads the clock twice and feeds its phase
+        // timer, its span, and the round event's `PhaseNanos` field.
+        let mut phase = Phase::start(trace, "engine", "cache_fill", self.root.id())
+            .timer(self.metrics.as_ref().map(|m| &*m.cache_fill));
         {
-            let mut span = maybe_span(trace, "engine", "cache_fill", self.root);
             let stale_now = std::mem::take(&mut self.stale_indices);
             self.cpu_time += self.engine.fill_caches(
                 &mut self.slots,
@@ -1016,7 +1010,7 @@ impl Session {
                 &mut self.worker_panics,
                 self.metrics.as_ref(),
                 trace,
-                span.id(),
+                phase.id(),
                 self.pool.as_ref(),
             );
             for &i in &stale_now {
@@ -1030,13 +1024,9 @@ impl Session {
                     inc.select.set(i, self.keys[i]);
                 }
             }
-            span.attr("clusters", self.live_cluster_count() as u64);
         }
-        let elapsed = phase_started.elapsed();
-        phase_ns.cache_fill = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        if let Some(m) = &self.metrics {
-            m.cache_fill.record(elapsed);
-        }
+        phase.attr("clusters", self.live_cluster_count() as u64);
+        let cache_fill = phase.end();
 
         // Deadline and cancellation checks (once per round, after the
         // cache refresh): a run cut short here is still a valid partial
@@ -1058,9 +1048,9 @@ impl Session {
         // smallest range, then uniformly at random among exact ties
         // (reservoir over scan order keeps this deterministic).
         let rng_at_boundary = self.rng.state();
-        let phase_started = Instant::now();
-        let mut select_span = maybe_span(trace, "engine", "select", self.root);
-        select_span.attr("clusters", self.live_cluster_count() as u64);
+        let mut phase = Phase::start(trace, "engine", "select", self.root.id())
+            .timer(self.metrics.as_ref().map(|m| &*m.select));
+        phase.attr("clusters", self.live_cluster_count() as u64);
         let rng = &mut self.rng;
         let best_index: Option<usize> = match &self.incremental {
             // Tournament-tree selection: same winner, same tie-break
@@ -1105,12 +1095,7 @@ impl Session {
                 best_index
             }
         };
-        drop(select_span);
-        let elapsed = phase_started.elapsed();
-        phase_ns.select = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        if let Some(m) = &self.metrics {
-            m.select.record(elapsed);
-        }
+        let select = phase.end();
         let Some(grown_index) = best_index else {
             // Every cluster contains all seeds: nothing can grow.
             return self.stop(Termination::AllSeedsClustered);
@@ -1150,11 +1135,11 @@ impl Session {
         // Commit: charge the budget, adopt the grown range, invalidate
         // this cluster's cache, and delete clusters subsumed by the new
         // range (§5.4).
-        let phase_started = Instant::now();
-        let mut commit_span = maybe_span(trace, "engine", "commit", self.root);
+        let mut phase = Phase::start(trace, "engine", "commit", self.root.id())
+            .timer(self.metrics.as_ref().map(|m| &*m.commit));
         let growth = growth.clone();
-        commit_span.attr("seed_count", growth.seed_count);
-        commit_span.attr(
+        phase.attr("seed_count", growth.seed_count);
+        phase.attr(
             "range_size",
             u64::try_from(growth.range_size).unwrap_or(u64::MAX),
         );
@@ -1180,14 +1165,9 @@ impl Session {
                 inc.add_min(new_min, grown_index);
             }
         }
-        drop(commit_span);
-        let elapsed = phase_started.elapsed();
-        phase_ns.commit = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        if let Some(m) = &self.metrics {
-            m.commit.record(elapsed);
-        }
-        let phase_started = Instant::now();
-        let mut subsume_span = maybe_span(trace, "engine", "subsume", self.root);
+        let commit = phase.end();
+        let mut phase = Phase::start(trace, "engine", "subsume", self.root.id())
+            .timer(self.metrics.as_ref().map(|m| &*m.subsume));
         let (killed, grown_stale_index) = match &mut self.incremental {
             // Min-address candidate enumeration: every cluster subsumed
             // by the new range has its minimum address inside it, so the
@@ -1272,13 +1252,8 @@ impl Session {
             self.stale_indices.push(grown_stale_index);
         }
         self.subsumed += killed;
-        subsume_span.attr("subsumed", killed);
-        drop(subsume_span);
-        let elapsed = phase_started.elapsed();
-        phase_ns.subsume = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        if let Some(m) = &self.metrics {
-            m.subsume.record(elapsed);
-        }
+        phase.attr("subsumed", killed);
+        let subsume = phase.end();
         if let Some(bus) = self.events() {
             bus.publish(sixgen_obs::ProgressEvent::Round {
                 shard: self.engine.config.shard_id,
@@ -1287,7 +1262,12 @@ impl Session {
                 growths: self.growths,
                 budget_used: self.budget.used(),
                 budget: self.budget.budget(),
-                phase_ns,
+                phase_ns: sixgen_obs::PhaseNanos {
+                    cache_fill,
+                    select,
+                    commit,
+                    subsume,
+                },
             });
         }
         Step::Grew
@@ -1357,10 +1337,11 @@ impl Session {
     }
 
     /// Consumes the finished session into its [`Outcome`], exporting the
-    /// final [`RunStats`] through the metrics registry (only here: a
-    /// session that dies before finishing — crash, drop — exports
-    /// nothing, so a registry shared across an interrupt/resume cycle
-    /// counts the logical run exactly once).
+    /// final [`RunStats`] through the metrics registry and recording the
+    /// segment's `engine/run` span (only here: a session that dies before
+    /// finishing — crash, drop — exports nothing, so a registry shared
+    /// across an interrupt/resume cycle counts the logical run exactly
+    /// once).
     ///
     /// # Panics
     ///
@@ -1369,6 +1350,8 @@ impl Session {
         let termination = self
             .done
             .expect("finish() requires a terminated session; step() until Step::Done");
+        let segment_ns =
+            Phase::resume(self.started, self.engine.config.trace.as_deref(), self.root).end();
         let incremental = self.incremental.take();
         let clusters = self
             .slots
@@ -1388,7 +1371,7 @@ impl Session {
             budget_used: self.budget.used(),
             budget: self.budget.budget(),
             seed_count: self.engine.shared.seeds.len() as u64,
-            wall_time: self.prior_wall + self.started.elapsed(),
+            wall_time: self.prior_wall + Duration::from_nanos(segment_ns),
             cpu_time: self.cpu_time,
             worker_panics: self.worker_panics,
             termination,
@@ -2002,6 +1985,80 @@ mod tests {
         let disabled = deterministic(Some(disabled_sink));
         assert_eq!(off, on, "tracing must not perturb deterministic metrics");
         assert_eq!(off, disabled);
+    }
+
+    #[test]
+    fn trace_summary_matches_metrics_exactly_past_ring_wrap() {
+        // Eight retained spans per shard: the ring wraps many times over,
+        // yet the summary and the registry agree span for span and
+        // nanosecond for nanosecond, as both are fed by the same guards.
+        use sixgen_obs::TraceSink;
+        let sink = Arc::new(TraceSink::with_capacity(8));
+        let registry = MetricsRegistry::shared();
+        let config = Config {
+            threads: 4,
+            metrics: Some(Arc::clone(&registry)),
+            trace: Some(Arc::clone(&sink)),
+            ..Config::with_budget(2000)
+        };
+        SixGen::new(parallel_test_seeds(), config).session().run();
+        assert!(sink.dropped() > 0, "the ring wrapped");
+        let rows = sink.summary();
+        let row = |key: &str| {
+            let row = rows.iter().find(|r| r.key == key).expect("summary row");
+            (row.count, row.total_ns)
+        };
+        for phase in ["cache_fill", "select", "commit", "subsume"] {
+            let timer = registry.phase(&format!("engine/{phase}"));
+            let expected = (timer.count(), timer.total().as_nanos() as u64);
+            assert_eq!(row(&format!("engine/{phase}")), expected, "{phase}");
+        }
+        let evals = registry.time_histogram("engine/growth_eval");
+        assert_eq!(row("engine/growth_eval"), (evals.count(), evals.sum()));
+        assert_eq!(row("engine/run").0, 1);
+    }
+
+    #[test]
+    fn run_span_encloses_every_phase_span() {
+        use sixgen_obs::TraceSink;
+        let sink = TraceSink::shared();
+        let config = Config {
+            trace: Some(Arc::clone(&sink)),
+            ..Config::with_budget(2000)
+        };
+        // Two segments: a fresh session and a resume from its round-5
+        // checkpoint, each with its own root.
+        let mut session = SixGen::new(parallel_test_seeds(), config.clone()).session();
+        for _ in 0..5 {
+            assert_eq!(session.step(), Step::Grew);
+        }
+        let checkpoint = session.checkpoint();
+        session.run();
+        Session::resume(checkpoint, config).expect("resume").run();
+        let spans = sink.snapshot();
+        let roots: HashMap<u64, &sixgen_obs::SpanRecord> = spans
+            .iter()
+            .filter(|s| s.name == "run")
+            .map(|s| (s.id, s))
+            .collect();
+        assert_eq!(roots.len(), 2, "one root per segment");
+        let phases: Vec<_> = spans
+            .iter()
+            .filter(|s| ["cache_fill", "select", "commit", "subsume"].contains(&s.name))
+            .collect();
+        assert!(phases.len() > 8);
+        for span in phases {
+            let root = roots[&span.parent];
+            assert!(
+                root.start_ns <= span.start_ns && span.end_ns <= root.end_ns,
+                "{} [{}, {}] outside run [{}, {}]",
+                span.name,
+                span.start_ns,
+                span.end_ns,
+                root.start_ns,
+                root.end_ns
+            );
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::engine::splitmix64_seed;
 use crate::pool::Job;
 use crate::{Config, Outcome, ResumeError, Session, SixGen, Step, WorkerPool};
 use sixgen_addr::{NybbleAddr, Prefix};
-use sixgen_obs::maybe_span;
+use sixgen_obs::{maybe_span, Phase};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -362,7 +362,6 @@ impl Driver {
         global: Config,
         mut at_barrier: impl FnMut(&ShardedCheckpoint),
     ) -> ShardedOutcome {
-        let fleet_started = Instant::now();
         if let Some(bus) = self.events.as_deref() {
             // ETA hint: per-shard budgets are partial leases, so the
             // global budget is published separately. A plain atomic
@@ -372,20 +371,12 @@ impl Driver {
         }
         let trace = global.trace.clone();
         let trace = trace.as_deref();
-        let mut root = maybe_span(trace, "sharded", "run", global.trace_parent);
+        // The fleet's wall time and its `sharded/run` span come from the
+        // same two clock reads.
+        let mut root = Phase::start(trace, "sharded", "run", global.trace_parent);
         root.attr("shards", cells.len() as u64);
         root.attr("workers", self.workers as u64);
         root.attr("budget", global.budget);
-        let root_id = root.id();
-        // Re-parent every shard session's `engine/run` root under the
-        // fleet root. Sessions were created before this span existed, so
-        // their spans already carry `trace_parent` from `shard_config`;
-        // fix up here instead by creating the fleet root *before* the
-        // sessions would be — see `shard_config` callers, which pass
-        // `global.trace_parent` through. (Per-shard engine spans created
-        // at session start use the parent configured there; the summary
-        // `sharded/shard` spans below always nest under this root.)
-        let _ = root_id;
 
         let cells: Arc<Vec<Mutex<Cell>>> = Arc::new(cells.into_iter().map(Mutex::new).collect());
         let mut epochs = prior_epochs;
@@ -406,15 +397,7 @@ impl Driver {
             let hungry = self.states(&cells, ShardState::Hungry);
             if hungry.is_empty() {
                 // Everyone terminated: the fleet is done.
-                let outcome = self.assemble(
-                    cells,
-                    budget_pool,
-                    epochs,
-                    global,
-                    fleet_started,
-                    &mut root,
-                );
-                return outcome;
+                return self.assemble(cells, budget_pool, epochs, global, root);
             }
             if budget_pool.unassigned() == 0 {
                 break;
@@ -472,7 +455,7 @@ impl Driver {
             at_barrier(&self.make_checkpoint(&cells, &budget_pool, &global, epochs));
             self.publish_barrier(&cells, &budget_pool, epochs);
         }
-        self.assemble(cells, budget_pool, epochs, global, fleet_started, &mut root)
+        self.assemble(cells, budget_pool, epochs, global, root)
     }
 
     /// Indices of cells currently in `state`.
@@ -625,8 +608,7 @@ impl Driver {
         budget_pool: BudgetPool,
         epochs: u64,
         global: Config,
-        fleet_started: Instant,
-        root: &mut sixgen_obs::Span<'_>,
+        mut root: Phase<'_>,
     ) -> ShardedOutcome {
         let cells = Arc::into_inner(cells)
             .expect("epoch jobs have completed; the driver holds the only reference");
@@ -695,7 +677,7 @@ impl Driver {
                 pool_unassigned: budget_pool.unassigned(),
                 epochs,
                 workers: self.workers,
-                wall_time: fleet_started.elapsed(),
+                wall_time: Duration::from_nanos(root.end()),
             },
         }
     }

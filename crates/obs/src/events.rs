@@ -19,10 +19,10 @@
 //!   attempt costs one relaxed atomic load.
 //! * **Bus enabled**: a publish stamps the wall clock once, assigns a
 //!   sequence number, folds the event into the live table (one short
-//!   mutex hold), and appends a record to the publishing thread's ring
-//!   shard. No allocation happens per event beyond the first wrap of each
-//!   ring slot (records are fixed-size; termination labels are
-//!   `&'static str`).
+//!   mutex hold), and appends a record to the publishing thread's shard
+//!   of the thread-sharded ring the trace sink also uses. No allocation
+//!   happens per event beyond the first wrap of each ring slot (records
+//!   are fixed-size; termination labels are `&'static str`).
 //!
 //! ## Non-perturbation
 //!
@@ -37,10 +37,9 @@
 //!
 //! ## Boundedness
 //!
-//! Raw-event memory is capped at `16 × capacity` records; wraps increment
-//! [`EventBus::dropped`] so a truncated window is never mistaken for a
-//! complete history. The live table is bounded by the shard count and the
-//! throughput window by [`SAMPLE_WINDOW`] entries.
+//! Raw-event memory is capped at `16 × capacity` records, and wraps are
+//! counted in [`EventBus::dropped`]; the live table is bounded by the
+//! shard count and the throughput window by [`SAMPLE_WINDOW`] entries.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -49,18 +48,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::escape_json;
-use crate::trace::thread_id;
-
-/// Number of ring shards, matching `trace.rs`: threads map to shards by
-/// the shared process-wide thread id.
-const SHARDS: usize = 16;
+use crate::ring::{thread_id, ShardedRing};
 
 /// Throughput samples retained for the rolling budget-burn estimate.
 const SAMPLE_WINDOW: usize = 256;
 
-/// Per-round phase timings, nanoseconds. Captured from the same
-/// `Instant` reads the phase timers already perform, so carrying them in
-/// events adds no clock traffic.
+/// Per-round phase timings, nanoseconds. Returned by the engine's
+/// [`Phase`](crate::Phase) guards, whose two clock reads per phase also
+/// feed the phase timers and spans, so carrying them in events adds no
+/// clock traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
     /// Density-cache refill time.
@@ -71,16 +67,6 @@ pub struct PhaseNanos {
     pub commit: u64,
     /// Subsumption scan time.
     pub subsume: u64,
-}
-
-impl PhaseNanos {
-    /// Sum of the four phases.
-    pub fn total(&self) -> u64 {
-        self.cache_fill
-            .saturating_add(self.select)
-            .saturating_add(self.commit)
-            .saturating_add(self.subsume)
-    }
 }
 
 /// One typed run-progress event. Session-scoped events carry the
@@ -190,19 +176,6 @@ impl ProgressEvent {
             ProgressEvent::Park { .. } => "park",
             ProgressEvent::Barrier { .. } => "barrier",
             ProgressEvent::ShardDone { .. } => "shard_done",
-        }
-    }
-
-    /// The shard the event concerns, when shard-scoped.
-    pub fn shard(&self) -> Option<u64> {
-        match self {
-            ProgressEvent::SessionStart { shard, .. }
-            | ProgressEvent::Round { shard, .. }
-            | ProgressEvent::SessionEnd { shard, .. }
-            | ProgressEvent::Lease { shard, .. }
-            | ProgressEvent::Park { shard, .. }
-            | ProgressEvent::ShardDone { shard, .. } => Some(*shard),
-            ProgressEvent::Barrier { .. } => None,
         }
     }
 }
@@ -328,33 +301,6 @@ impl EventRecord {
     }
 }
 
-/// Fixed-capacity overwrite-oldest buffer of event records.
-#[derive(Debug, Default)]
-struct Ring {
-    records: Vec<EventRecord>,
-    head: usize,
-}
-
-impl Ring {
-    /// Appends a record; returns `true` if an old record was overwritten.
-    fn push(&mut self, record: EventRecord, capacity: usize) -> bool {
-        if self.records.len() < capacity {
-            self.records.push(record);
-            false
-        } else {
-            self.records[self.head] = record;
-            self.head = (self.head + 1) % capacity;
-            true
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &EventRecord> {
-        self.records[self.head..]
-            .iter()
-            .chain(self.records[..self.head].iter())
-    }
-}
-
 /// Live progress of one shard, folded from its events as they arrive.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardProgress {
@@ -415,17 +361,6 @@ impl ProgressSnapshot {
     /// Budget still unspent against the total (saturating).
     pub fn budget_remaining(&self) -> u64 {
         self.budget_total.saturating_sub(self.budget_used)
-    }
-}
-
-/// Live destination for streamed NDJSON lines.
-struct StreamState {
-    writer: Box<dyn std::io::Write + Send>,
-}
-
-impl std::fmt::Debug for StreamState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamState").finish_non_exhaustive()
     }
 }
 
@@ -558,21 +493,13 @@ impl Live {
 #[derive(Debug)]
 pub struct EventBus {
     enabled: AtomicBool,
-    /// Ring capacity per shard.
-    capacity: usize,
-    shards: [Mutex<Ring>; SHARDS],
     next_seq: AtomicU64,
-    dropped: AtomicU64,
     epoch: Instant,
     /// Explicit budget-total hint for ETA when per-shard budgets are
     /// partial leases; 0 = unset.
     budget_total: AtomicU64,
     live: Mutex<Live>,
-    /// Fast-path flag mirroring `stream.is_some()`.
-    stream_active: AtomicBool,
-    stream: Mutex<Option<StreamState>>,
-    streamed: AtomicU64,
-    stream_errors: AtomicU64,
+    ring: ShardedRing<EventRecord>,
 }
 
 impl Default for EventBus {
@@ -596,17 +523,11 @@ impl EventBus {
     pub fn with_capacity(capacity: usize) -> EventBus {
         EventBus {
             enabled: AtomicBool::new(true),
-            capacity: capacity.max(1),
-            shards: [(); SHARDS].map(|()| Mutex::new(Ring::default())),
             next_seq: AtomicU64::new(1),
-            dropped: AtomicU64::new(0),
             epoch: Instant::now(),
             budget_total: AtomicU64::new(0),
             live: Mutex::new(Live::default()),
-            stream_active: AtomicBool::new(false),
-            stream: Mutex::new(None),
-            streamed: AtomicU64::new(0),
-            stream_errors: AtomicU64::new(0),
+            ring: ShardedRing::with_capacity(capacity),
         }
     }
 
@@ -640,15 +561,12 @@ impl EventBus {
 
     /// Number of events lost to ring-buffer wrap-around.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("event shard poisoned").records.len())
-            .sum()
+        self.ring.len()
     }
 
     /// `true` if no event has been retained.
@@ -667,7 +585,7 @@ impl EventBus {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let record = EventRecord {
             seq,
-            wall_ns: self.now_ns(),
+            wall_ns: u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
             thread: thread_id(),
             event,
         };
@@ -675,94 +593,42 @@ impl EventBus {
             .lock()
             .expect("event live table poisoned")
             .fold(record.wall_ns, &record.event);
-        if self.stream_active.load(Ordering::Relaxed) {
-            self.stream_event(&record);
-        }
-        let shard = (record.thread as usize) % SHARDS;
-        let wrapped = self.shards[shard]
-            .lock()
-            .expect("event shard poisoned")
-            .push(record, self.capacity);
-        if wrapped {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        self.ring.push(record.thread, record, |record| {
+            let mut line = record.to_json();
+            line.push('\n');
+            line
+        });
     }
 
-    /// Nanoseconds since the bus's epoch.
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Attaches a live writer: every event published from now on is also
-    /// appended to `writer` as one NDJSON line. Lines are self-contained,
-    /// so a process killed mid-stream leaves a valid prefix — no trailer
-    /// is required, but [`finish_stream`](Self::finish_stream) flushes
-    /// and drops the writer cleanly. Events published before this call
-    /// are *not* replayed. The first write error permanently disables
-    /// streaming (counted in [`stream_errors`](Self::stream_errors));
-    /// publishing continues ring-only.
+    /// Attaches a live writer: every event published from now on (none
+    /// before) is also appended to `writer` as one self-contained NDJSON
+    /// line, so a process killed mid-stream leaves a valid prefix. The
+    /// first write error tears the stream down; publishing continues.
     pub fn stream_to(&self, writer: Box<dyn std::io::Write + Send>) {
-        let mut slot = self.stream.lock().expect("event stream poisoned");
-        *slot = Some(StreamState { writer });
-        self.stream_active.store(true, Ordering::Relaxed);
+        self.ring.stream_to(writer);
     }
 
     /// Flushes and drops the active stream writer. A no-op returning
     /// `Ok` when no stream is active (including after a write error
     /// already tore the stream down).
     pub fn finish_stream(&self) -> std::io::Result<()> {
-        self.stream_active.store(false, Ordering::Relaxed);
-        let state = self.stream.lock().expect("event stream poisoned").take();
-        match state {
-            Some(mut state) => state.writer.flush(),
-            None => Ok(()),
-        }
+        self.ring.finish_stream(|_| String::new())
     }
 
     /// Number of events successfully written to the stream.
     pub fn streamed(&self) -> u64 {
-        self.streamed.load(Ordering::Relaxed)
+        self.ring.streamed()
     }
 
-    /// Number of stream write failures — effectively 0 or 1 per
-    /// [`stream_to`](Self::stream_to) call, since the first failure tears
-    /// the stream down.
+    /// Number of stream write failures: 0 or 1 per attached stream.
     pub fn stream_errors(&self) -> u64 {
-        self.stream_errors.load(Ordering::Relaxed)
-    }
-
-    /// Formats and writes one NDJSON line to the active stream. The line
-    /// is built before taking the stream lock; a write failure tears the
-    /// stream down — observability must never take down the observed run.
-    fn stream_event(&self, record: &EventRecord) {
-        let mut line = record.to_json();
-        line.push('\n');
-        let mut slot = self.stream.lock().expect("event stream poisoned");
-        let Some(state) = slot.as_mut() else {
-            return;
-        };
-        match state.writer.write_all(line.as_bytes()) {
-            Ok(()) => {
-                self.streamed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.stream_errors.fetch_add(1, Ordering::Relaxed);
-                self.stream_active.store(false, Ordering::Relaxed);
-                *slot = None;
-            }
-        }
+        self.ring.stream_errors()
     }
 
     /// All retained events, merged across shards and sorted by sequence
     /// number. Non-destructive.
     pub fn snapshot(&self) -> Vec<EventRecord> {
-        let mut events: Vec<EventRecord> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let ring = shard.lock().expect("event shard poisoned");
-            events.extend(ring.iter().cloned());
-        }
-        events.sort_by_key(|e| e.seq);
-        events
+        self.ring.snapshot(|e| e.seq)
     }
 
     /// Derives the aggregated live view: per-shard progress, fleet

@@ -48,6 +48,7 @@
 
 pub mod events;
 mod prom;
+mod ring;
 pub mod serve;
 pub mod trace;
 
@@ -56,14 +57,16 @@ pub use serve::{
     observer_response, status_json, Body, ChunkWriter, HttpHandler, HttpServer, Observer,
     ObserverSources, Request, Response,
 };
-pub use trace::{maybe_span, validate_json, Span, SpanId, SpanRecord, SummaryRow, TraceSink};
+pub use trace::{
+    maybe_span, validate_json, OpenSpan, Phase, Span, SpanId, SpanRecord, SummaryRow, TraceSink,
+};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Writes `bytes` to `path` atomically: the content goes to a temporary
 /// file in the same directory (`<name>.tmp`), is flushed to disk, and is
@@ -363,29 +366,6 @@ impl PhaseTimer {
     }
 }
 
-/// RAII guard returned by [`timed`]: records the elapsed time into its
-/// [`PhaseTimer`] when dropped.
-#[derive(Debug)]
-pub struct PhaseGuard {
-    timer: Arc<PhaseTimer>,
-    started: Instant,
-}
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        self.timer.record(self.started.elapsed());
-    }
-}
-
-/// Starts timing a scope against `timer`; the elapsed time is recorded
-/// when the returned guard drops.
-pub fn timed(timer: &Arc<PhaseTimer>) -> PhaseGuard {
-    PhaseGuard {
-        timer: Arc::clone(timer),
-        started: Instant::now(),
-    }
-}
-
 #[derive(Debug, Default)]
 pub(crate) struct Inner {
     pub(crate) counters: BTreeMap<String, Arc<Counter>>,
@@ -610,10 +590,11 @@ mod tests {
         p.record(Duration::from_millis(4));
         assert_eq!(p.count(), 2);
         assert_eq!(p.total(), Duration::from_millis(7));
-        {
-            let _guard = timed(&p);
-        }
+        let ns = Phase::start(None, "engine", "fill", SpanId::NONE)
+            .timer(Some(&p))
+            .end();
         assert_eq!(p.count(), 3);
+        assert_eq!(p.total(), Duration::from_millis(7) + Duration::from_nanos(ns));
     }
 
     #[test]

@@ -1,65 +1,32 @@
-//! Structured tracing: spans, sharded ring buffers, Chrome-trace export,
-//! and self-time summaries.
+//! Structured tracing: spans, exact per-kind summaries, and a bounded
+//! window of recent spans for Chrome-trace export.
 //!
 //! Aggregate metrics (the registry in the crate root) answer *how much*;
 //! spans answer *where inside a run*. A [`TraceSink`] collects
 //! [`Span`]s — named, categorized intervals with a parent link, a thread
-//! id, and up to [`MAX_ATTRS`] `u64` key/value attributes — into
-//! thread-sharded ring buffers, and exports them either as Chrome
-//! trace-event JSON (loadable in Perfetto or `chrome://tracing`) or as a
-//! per-span-kind self-time summary table with percentiles.
+//! id, and up to [`MAX_ATTRS`] `u64` key/value attributes. Each span is
+//! folded into its `category/name` kind as it closes (exact count, total
+//! and self time, and a log₂ duration histogram for percentile
+//! estimates), so the summary is exact at any scale. The span record is
+//! then kept in the thread-sharded ring the event bus also uses: the
+//! window the Chrome export (Perfetto, `chrome://tracing`) reads, whose
+//! wrap-around drops are counted, and whose optional stream
+//! ([`TraceSink::stream_to`]) writes every span to disk as it closes.
 //!
-//! ## Overhead discipline
-//!
-//! * **Tracing absent** (no sink configured): instrumentation sites hold
-//!   an `Option` that is `None`, spans are [`Span::inert`], and neither
-//!   the clock nor any allocation is touched.
-//! * **Tracing disabled** (sink present, [`TraceSink::set_enabled`]
-//!   `false`): starting a span costs exactly one relaxed atomic load and
-//!   returns an inert span.
-//! * **Tracing enabled**: a span start reads the clock once; a span end
-//!   reads it again and appends a fixed-size record to the ring buffer of
-//!   the recording thread's shard. Shards are selected by a per-thread id,
-//!   so the shard lock is uncontended except when two live threads hash to
-//!   the same shard; no allocation happens per span (names and attr keys
-//!   are `&'static str`, attrs are a fixed array, and ring slots are
-//!   reused after the first wrap).
-//!
-//! ## Boundedness
-//!
-//! Memory is capped at `SHARDS × capacity` records. When a ring wraps, the
-//! oldest record in that shard is overwritten and the sink-wide
-//! [`dropped`](TraceSink::dropped) counter increments; both exporters
-//! surface the drop count so a truncated trace is never mistaken for a
-//! complete one.
-//!
-//! ## Streaming
-//!
-//! The rings bound memory by forgetting the oldest spans — fine for
-//! post-hoc summaries, lossy for long runs. [`TraceSink::stream_to`]
-//! additionally appends every span to a writer *as it completes*, in
-//! Chrome trace-event form, so a multi-hour run's full span history lands
-//! on disk while the rings keep only the recent window. Streamed output
-//! is incremental but still one valid JSON document once
-//! [`TraceSink::finish_stream`] writes the trailer; a process killed
-//! mid-stream leaves a truncated-but-greppable event log. Stream write
-//! failures never disturb the run: the first error permanently disables
-//! streaming (counted in [`TraceSink::stream_errors`]) and recording
-//! continues ring-only.
+//! Overhead: with no sink, instrumentation sites hold `None` and spans are
+//! [`Span::inert`], touching neither clock nor allocator; a disabled sink
+//! ([`TraceSink::set_enabled`]) costs one relaxed atomic load per span;
+//! an enabled span reads the clock at start and end (or takes the
+//! caller's readings, see [`crate::Phase`]) and never allocates (names
+//! and attr keys are `&'static str`, ring slots are reused).
 
-use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use crate::escape_json;
-
-/// Number of ring-buffer shards. Threads map to shards by a process-wide
-/// per-thread id, so up to this many threads record without sharing a
-/// lock.
-const SHARDS: usize = 16;
+use crate::ring::{thread_id, ShardedRing, SHARDS};
+use crate::{escape_json, Histogram, PhaseTimer};
 
 /// Maximum number of key/value attributes per span; extra [`Span::attr`]
 /// calls are silently ignored.
@@ -68,22 +35,26 @@ pub const MAX_ATTRS: usize = 6;
 /// Identity of a span, used to nest children under parents explicitly
 /// (parent links are threaded by hand rather than via thread-local span
 /// stacks, which keeps recording wait-free and works across the engine's
-/// scoped worker threads).
+/// worker threads). It also names the span's kind, so a closing child
+/// credits its time to the parent kind's self-time without a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanId(u64);
+pub struct SpanId {
+    id: u64,
+    kind: usize,
+}
 
 impl SpanId {
     /// "No parent": the span is a root.
-    pub const NONE: SpanId = SpanId(0);
+    pub const NONE: SpanId = SpanId { id: 0, kind: 0 };
 
     /// `true` for [`SpanId::NONE`] and for the id of an inert span.
     pub fn is_none(self) -> bool {
-        self.0 == 0
+        self.id == 0
     }
 }
 
 /// One completed span, as retained in the ring buffers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SpanRecord {
     /// Unique id (sink-scoped, starts at 1).
     pub id: u64,
@@ -117,57 +88,6 @@ impl SpanRecord {
     }
 }
 
-/// Fixed-capacity overwrite-oldest buffer of span records.
-#[derive(Debug, Default)]
-struct Ring {
-    records: Vec<SpanRecord>,
-    /// Index of the oldest record once the buffer has wrapped.
-    head: usize,
-    /// Whether this ring has ever overwritten a record.
-    wrapped: bool,
-}
-
-impl Ring {
-    /// Appends a record; returns `true` if an old record was overwritten.
-    fn push(&mut self, record: SpanRecord, capacity: usize) -> bool {
-        if self.records.len() < capacity {
-            self.records.push(record);
-            false
-        } else {
-            self.records[self.head] = record;
-            self.head = (self.head + 1) % capacity;
-            self.wrapped = true;
-            true
-        }
-    }
-
-    /// Records in arrival order.
-    fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.records[self.head..]
-            .iter()
-            .chain(self.records[..self.head].iter())
-    }
-}
-
-/// Process-wide thread-id assignment: each OS thread gets a stable small
-/// id the first time it records a span (into any sink). Shared with the
-/// progress-event bus (`crate::events`) so spans and events from the same
-/// thread carry the same id.
-pub(crate) fn thread_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TID: Cell<u64> = const { Cell::new(0) };
-    }
-    TID.with(|cell| {
-        let mut id = cell.get();
-        if id == 0 {
-            id = NEXT.fetch_add(1, Ordering::Relaxed);
-            cell.set(id);
-        }
-        id
-    })
-}
-
 /// Appends one span as a Chrome complete (`"ph":"X"`) trace event. Shared
 /// by the batch exporter ([`TraceSink::to_chrome_json`]) and the live
 /// stream so both emit byte-identical events. Timestamps and durations
@@ -195,17 +115,16 @@ fn chrome_event(span: &SpanRecord, out: &mut String) {
     out.push_str("}}");
 }
 
-/// Live destination for streamed span events. The preamble always emits a
-/// metadata event, so every subsequent event is comma-prefixed — no
-/// first-event state to track.
-struct StreamState {
-    writer: Box<dyn std::io::Write + Send>,
-}
-
-impl std::fmt::Debug for StreamState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamState").finish_non_exhaustive()
-    }
+/// Exact running totals for one `category/name` span kind, updated as
+/// each span of the kind closes.
+#[derive(Debug)]
+struct Kind {
+    category: &'static str,
+    name: &'static str,
+    /// Span durations: exact count and sum, log₂ buckets for percentiles.
+    durations: Histogram,
+    /// Summed durations of child spans, credited as each child closes.
+    child_ns: AtomicU64,
 }
 
 /// A bounded collector of [`Span`]s. See the module docs for the overhead
@@ -213,18 +132,11 @@ impl std::fmt::Debug for StreamState {
 #[derive(Debug)]
 pub struct TraceSink {
     enabled: AtomicBool,
-    /// Ring capacity per shard.
-    capacity: usize,
-    shards: [Mutex<Ring>; SHARDS],
     next_id: AtomicU64,
-    dropped: AtomicU64,
     epoch: Instant,
-    /// Fast-path flag mirroring `stream.is_some()`; checked lock-free on
-    /// every record so non-streaming sinks pay one relaxed load.
-    stream_active: AtomicBool,
-    stream: Mutex<Option<StreamState>>,
-    streamed: AtomicU64,
-    stream_errors: AtomicU64,
+    /// Append-only, so a [`SpanId`]'s kind index stays valid.
+    kinds: RwLock<Vec<Kind>>,
+    ring: ShardedRing<SpanRecord>,
 }
 
 impl Default for TraceSink {
@@ -244,19 +156,14 @@ impl TraceSink {
     }
 
     /// A sink retaining up to `capacity` spans *per shard* (total:
-    /// `16 × capacity`). A zero capacity is rounded up to 1.
+    /// `16 × capacity`) for export. A zero capacity is rounded up to 1.
     pub fn with_capacity(capacity: usize) -> TraceSink {
         TraceSink {
             enabled: AtomicBool::new(true),
-            capacity: capacity.max(1),
-            shards: [(); SHARDS].map(|()| Mutex::new(Ring::default())),
             next_id: AtomicU64::new(1),
-            dropped: AtomicU64::new(0),
             epoch: Instant::now(),
-            stream_active: AtomicBool::new(false),
-            stream: Mutex::new(None),
-            streamed: AtomicU64::new(0),
-            stream_errors: AtomicU64::new(0),
+            kinds: RwLock::new(Vec::new()),
+            ring: ShardedRing::with_capacity(capacity),
         }
     }
 
@@ -276,26 +183,21 @@ impl TraceSink {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Number of spans lost to ring-buffer wrap-around since creation.
+    /// Number of spans lost from the export window to ring-buffer
+    /// wrap-around since creation.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Number of shard rings that have wrapped at least once (0 means the
     /// retained window is complete; up to 16 shards can wrap).
     pub fn wrapped_shards(&self) -> u64 {
-        self.shards
-            .iter()
-            .filter(|s| s.lock().expect("trace shard poisoned").wrapped)
-            .count() as u64
+        self.ring.wrapped_shards()
     }
 
     /// Number of spans currently retained.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("trace shard poisoned").records.len())
-            .sum()
+        self.ring.len()
     }
 
     /// `true` if no span has been retained.
@@ -303,61 +205,111 @@ impl TraceSink {
         self.len() == 0
     }
 
-    /// Starts a span. The returned guard records itself into the sink when
-    /// dropped; use [`Span::attr`] to attach values and [`Span::id`] to
-    /// parent children under it.
+    /// Starts a span now. The returned guard records itself into the sink
+    /// when dropped; use [`Span::attr`] to attach values and [`Span::id`]
+    /// to parent children under it.
     pub fn span(&self, category: &'static str, name: &'static str, parent: SpanId) -> Span<'_> {
-        if !self.enabled.load(Ordering::Relaxed) {
+        if !self.is_enabled() {
             return Span::inert();
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        Span {
-            sink: Some(self),
-            id,
-            parent: parent.0,
+        self.span_at(category, name, parent, Instant::now())
+    }
+
+    /// Starts a span at the caller's clock reading `start`, so the span
+    /// and the caller's own timing agree exactly (see [`crate::Phase`]).
+    pub fn span_at(
+        &self,
+        category: &'static str,
+        name: &'static str,
+        parent: SpanId,
+        start: Instant,
+    ) -> Span<'_> {
+        if !self.is_enabled() {
+            return Span::inert();
+        }
+        let record = SpanRecord {
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            parent: parent.id,
             category,
             name,
-            start_ns: self.now_ns(),
-            attrs: [("", 0); MAX_ATTRS],
-            attr_len: 0,
+            start_ns: self.ns_at(start),
+            ..SpanRecord::default()
+        };
+        Span {
+            sink: Some(self),
+            open: OpenSpan {
+                kind: self.kind(category, name),
+                parent_kind: parent.kind,
+                record,
+            },
         }
     }
 
-    /// Nanoseconds since the sink's epoch.
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    /// Index of the `category/name` kind, registered on first use.
+    fn kind(&self, category: &'static str, name: &'static str) -> usize {
+        let find = |kinds: &[Kind]| {
+            kinds
+                .iter()
+                .position(|k| k.category == category && k.name == name)
+        };
+        if let Some(i) = find(&self.kinds.read().expect("trace kinds poisoned")) {
+            return i;
+        }
+        let mut kinds = self.kinds.write().expect("trace kinds poisoned");
+        find(&kinds).unwrap_or_else(|| {
+            kinds.push(Kind {
+                category,
+                name,
+                durations: Histogram::default(),
+                child_ns: AtomicU64::new(0),
+            });
+            kinds.len() - 1
+        })
     }
 
-    fn record(&self, record: SpanRecord) {
-        if self.stream_active.load(Ordering::Relaxed) {
-            self.stream_event(&record);
-        }
-        let shard = (record.thread as usize) % SHARDS;
-        let wrapped = self.shards[shard]
-            .lock()
-            .expect("trace shard poisoned")
-            .push(record, self.capacity);
-        if wrapped {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Nanoseconds from the sink's epoch to `at` (0 before the epoch).
+    fn ns_at(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Attaches a live writer: every span recorded from now on is also
-    /// appended to `writer` as a Chrome trace event, in completion order
-    /// (Chrome/Perfetto sort by timestamp on load). Writes the document
-    /// preamble immediately; call [`finish_stream`](Self::finish_stream)
-    /// to close the document. Replaces any previous stream without closing
-    /// it. Spans recorded before this call are *not* replayed — stream
-    /// early, before the rings can wrap.
+    /// Closes a span at `end`: folds it into its kind and its parent's
+    /// kind, then retains (and streams) its record.
+    fn close(&self, open: &OpenSpan, end: Instant) {
+        let record = SpanRecord {
+            thread: thread_id(),
+            end_ns: self.ns_at(end),
+            ..open.record
+        };
+        let duration = record.duration_ns();
+        {
+            let kinds = self.kinds.read().expect("trace kinds poisoned");
+            if let Some(kind) = kinds.get(open.kind) {
+                kind.durations.record(duration);
+            }
+            if let Some(parent) = kinds.get(open.parent_kind).filter(|_| record.parent != 0) {
+                parent.child_ns.fetch_add(duration, Ordering::Relaxed);
+            }
+        }
+        self.ring.push(record.thread, record, |record| {
+            let mut event = String::with_capacity(192);
+            event.push_str(",\n");
+            chrome_event(record, &mut event);
+            event
+        });
+    }
+
+    /// Attaches a live writer: every span recorded from now on (none
+    /// before) is also appended to `writer` as a Chrome trace event, in
+    /// completion order. Writes the document preamble, whose metadata
+    /// event lets every span event be comma-prefixed, immediately; call
+    /// [`finish_stream`](Self::finish_stream) to close the document.
     pub fn stream_to(&self, mut writer: Box<dyn std::io::Write + Send>) -> std::io::Result<()> {
         writer.write_all(
             b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
               {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
               \"args\":{\"name\":\"sixgen\"}}",
         )?;
-        let mut slot = self.stream.lock().expect("trace stream poisoned");
-        *slot = Some(StreamState { writer });
-        self.stream_active.store(true, Ordering::Relaxed);
+        self.ring.stream_to(writer);
         Ok(())
     }
 
@@ -367,68 +319,32 @@ impl TraceSink {
     /// stream is active (including after a write error already tore the
     /// stream down).
     pub fn finish_stream(&self) -> std::io::Result<()> {
-        self.stream_active.store(false, Ordering::Relaxed);
-        let state = self.stream.lock().expect("trace stream poisoned").take();
-        let Some(mut state) = state else {
-            return Ok(());
-        };
-        let trailer = format!(
-            "\n],\"otherData\":{{\"spans_streamed\":{},\"stream_write_errors\":{},\
-             \"ring_dropped_spans\":{}}}}}\n",
-            self.streamed(),
-            self.stream_errors(),
-            self.dropped()
-        );
-        state.writer.write_all(trailer.as_bytes())?;
-        state.writer.flush()
+        self.ring.finish_stream(|ring| {
+            format!(
+                "\n],\"otherData\":{{\"spans_streamed\":{},\"stream_write_errors\":{},\
+                 \"ring_dropped_spans\":{}}}}}\n",
+                ring.streamed(),
+                ring.stream_errors(),
+                ring.dropped()
+            )
+        })
     }
 
     /// Number of span events successfully written to the stream.
     pub fn streamed(&self) -> u64 {
-        self.streamed.load(Ordering::Relaxed)
+        self.ring.streamed()
     }
 
-    /// Number of stream write failures. The first failure permanently
-    /// disables streaming (recording continues ring-only), so this is
-    /// effectively 0 or 1 per [`stream_to`](Self::stream_to) call.
+    /// Number of stream write failures: the first tears the stream down
+    /// (recording continues ring-only), so 0 or 1 per attached stream.
     pub fn stream_errors(&self) -> u64 {
-        self.stream_errors.load(Ordering::Relaxed)
-    }
-
-    /// Formats and appends one span event to the active stream. The event
-    /// JSON is built *before* taking the stream lock so contention covers
-    /// only the write itself. On write failure the stream is torn down —
-    /// tracing must never take down the traced run.
-    fn stream_event(&self, record: &SpanRecord) {
-        let mut event = String::with_capacity(192);
-        event.push_str(",\n");
-        chrome_event(record, &mut event);
-        let mut slot = self.stream.lock().expect("trace stream poisoned");
-        let Some(state) = slot.as_mut() else {
-            return;
-        };
-        match state.writer.write_all(event.as_bytes()) {
-            Ok(()) => {
-                self.streamed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.stream_errors.fetch_add(1, Ordering::Relaxed);
-                self.stream_active.store(false, Ordering::Relaxed);
-                *slot = None;
-            }
-        }
+        self.ring.stream_errors()
     }
 
     /// All retained spans, merged across shards and sorted by start time
     /// (ties by id). Non-destructive.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut spans: Vec<SpanRecord> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let ring = shard.lock().expect("trace shard poisoned");
-            spans.extend(ring.iter().cloned());
-        }
-        spans.sort_by_key(|s| (s.start_ns, s.id));
-        spans
+        self.ring.snapshot(|s| (s.start_ns, s.id))
     }
 
     /// Serializes the retained spans as Chrome trace-event JSON — an object
@@ -460,58 +376,41 @@ impl TraceSink {
         out
     }
 
-    /// Per-span-kind aggregation of the retained spans: for every
-    /// `category/name` pair, the span count, total time, self time (total
-    /// minus time attributed to child spans), and exact p50/p95/p99 of the
-    /// span durations. Rows are ordered by descending total time.
+    /// Per-span-kind totals of every span closed so far, ring wrap or
+    /// not: for every `category/name` pair, the exact span count, total
+    /// time and self time (total minus the time of child spans), and
+    /// p50/p95/p99 estimated from a log₂ duration histogram. Rows are
+    /// ordered by descending total time.
     ///
     /// Self time saturates at zero: children evaluated on parallel worker
-    /// threads can accumulate more time than their parent's wall-clock
+    /// threads can accumulate more time than their parents' wall-clock
     /// duration.
     pub fn summary(&self) -> Vec<SummaryRow> {
-        let spans = self.snapshot();
-        // Child time per parent id.
-        let mut child_ns: HashMap<u64, u64> = HashMap::new();
-        for span in &spans {
-            if span.parent != 0 {
-                *child_ns.entry(span.parent).or_default() += span.duration_ns();
-            }
-        }
-        let mut rows: HashMap<(&'static str, &'static str), SummaryRow> = HashMap::new();
-        let mut durations: HashMap<(&'static str, &'static str), Vec<u64>> = HashMap::new();
-        for span in &spans {
-            let key = (span.category, span.name);
-            let duration = span.duration_ns();
-            let row = rows.entry(key).or_insert_with(|| SummaryRow {
-                key: format!("{}/{}", span.category, span.name),
-                count: 0,
-                total_ns: 0,
-                self_ns: 0,
-                p50_ns: 0,
-                p95_ns: 0,
-                p99_ns: 0,
-            });
-            row.count += 1;
-            row.total_ns += duration;
-            row.self_ns += duration
-                .saturating_sub(child_ns.get(&span.id).copied().unwrap_or(0))
-                .min(duration);
-            durations.entry(key).or_default().push(duration);
-        }
-        for (key, mut values) in durations {
-            values.sort_unstable();
-            let row = rows.get_mut(&key).expect("row exists for every key");
-            row.p50_ns = nearest_rank(&values, 0.50);
-            row.p95_ns = nearest_rank(&values, 0.95);
-            row.p99_ns = nearest_rank(&values, 0.99);
-        }
-        let mut rows: Vec<SummaryRow> = rows.into_values().collect();
+        let kinds = self.kinds.read().expect("trace kinds poisoned");
+        let mut rows: Vec<SummaryRow> = kinds
+            .iter()
+            .filter(|k| k.durations.count() > 0)
+            .map(|k| {
+                let total_ns = k.durations.sum();
+                let percentile = |q| k.durations.percentile(q).unwrap_or(0);
+                SummaryRow {
+                    key: format!("{}/{}", k.category, k.name),
+                    count: k.durations.count(),
+                    total_ns,
+                    self_ns: total_ns.saturating_sub(k.child_ns.load(Ordering::Relaxed)),
+                    p50_ns: percentile(0.50),
+                    p95_ns: percentile(0.95),
+                    p99_ns: percentile(0.99),
+                }
+            })
+            .collect();
         rows.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.key.cmp(&b.key)));
         rows
     }
 
-    /// Renders [`summary`](Self::summary) as a fixed-width text table,
-    /// trailed by the dropped-span count when non-zero.
+    /// Renders [`summary`](Self::summary) as a fixed-width text table.
+    /// Percentiles carry a `~` to mark them as bucketed estimates; a
+    /// trailer reports spans dropped from the export window when non-zero.
     pub fn render_summary(&self) -> String {
         let rows = self.summary();
         let mut out = String::new();
@@ -528,17 +427,19 @@ impl TraceSink {
                 row.count,
                 format_ns(row.total_ns),
                 format_ns(row.self_ns),
-                format_ns(row.p50_ns),
-                format_ns(row.p95_ns),
-                format_ns(row.p99_ns),
+                format!("~{}", format_ns(row.p50_ns)),
+                format!("~{}", format_ns(row.p95_ns)),
+                format!("~{}", format_ns(row.p99_ns)),
             );
         }
+        out.push_str("(count/total/self exact; ~ = log2-bucket percentile estimate)\n");
         let dropped = self.dropped();
         if dropped > 0 {
             let wrapped = self.wrapped_shards();
             let _ = writeln!(
                 out,
-                "({dropped} spans dropped to ring-buffer wrap across {wrapped} of 16 shard rings)"
+                "({dropped} spans dropped to ring-buffer wrap across {wrapped} of {SHARDS} \
+                 shard rings: missing from the Chrome export, counted above)"
             );
         }
         out
@@ -550,24 +451,18 @@ impl TraceSink {
 pub struct SummaryRow {
     /// `category/name`.
     pub key: String,
-    /// Number of spans of this kind.
+    /// Number of spans of this kind (exact).
     pub count: u64,
-    /// Sum of span durations, nanoseconds.
+    /// Sum of span durations, nanoseconds (exact).
     pub total_ns: u64,
-    /// Total minus child-span time (saturating), nanoseconds.
+    /// Total minus child-span time (saturating), nanoseconds (exact).
     pub self_ns: u64,
-    /// Median span duration (nearest rank), nanoseconds.
+    /// Median span duration, nanoseconds (log₂-bucket estimate).
     pub p50_ns: u64,
-    /// 95th-percentile span duration, nanoseconds.
+    /// 95th-percentile span duration, nanoseconds (estimate).
     pub p95_ns: u64,
-    /// 99th-percentile span duration, nanoseconds.
+    /// 99th-percentile span duration, nanoseconds (estimate).
     pub p99_ns: u64,
-}
-
-/// Nearest-rank percentile of a sorted, non-empty slice.
-fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Human-scale duration: `123ns`, `45.6µs`, `7.89ms`, `1.23s`.
@@ -580,19 +475,35 @@ fn format_ns(ns: u64) -> String {
     }
 }
 
-/// RAII span guard: records its interval into the sink when dropped.
-/// Obtained from [`TraceSink::span`] (live) or [`Span::inert`] /
-/// [`maybe_span`] (no-op).
+/// A started span's state without the sink borrow: what an owner that
+/// outlives any one borrow keeps (an engine session holds its `engine/run`
+/// root from start to finish). Obtained from [`Span::detach`]; closed with
+/// [`Phase::resume`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OpenSpan {
+    kind: usize,
+    parent_kind: usize,
+    /// The record so far; `thread` and `end_ns` are set at close.
+    record: SpanRecord,
+}
+
+impl OpenSpan {
+    /// The span's id, for parenting children under it.
+    pub fn id(&self) -> SpanId {
+        SpanId {
+            id: self.record.id,
+            kind: self.kind,
+        }
+    }
+}
+
+/// RAII span guard: records its interval into the sink when dropped (or
+/// at an explicit end with [`Span::end_at`]). Obtained from
+/// [`TraceSink::span`] (live) or [`Span::inert`] / [`maybe_span`] (no-op).
 #[derive(Debug)]
 pub struct Span<'s> {
     sink: Option<&'s TraceSink>,
-    id: u64,
-    parent: u64,
-    category: &'static str,
-    name: &'static str,
-    start_ns: u64,
-    attrs: [(&'static str, u64); MAX_ATTRS],
-    attr_len: u8,
+    open: OpenSpan,
 }
 
 impl Span<'_> {
@@ -602,51 +513,130 @@ impl Span<'_> {
     pub fn inert() -> Span<'static> {
         Span {
             sink: None,
-            id: 0,
-            parent: 0,
-            category: "",
-            name: "",
-            start_ns: 0,
-            attrs: [("", 0); MAX_ATTRS],
-            attr_len: 0,
+            open: OpenSpan::default(),
         }
     }
 
     /// This span's id, for parenting children under it.
     /// [`SpanId::NONE`] when inert.
     pub fn id(&self) -> SpanId {
-        SpanId(self.id)
+        self.open.id()
     }
 
     /// Attaches a key/value attribute. Ignored on inert spans and beyond
     /// [`MAX_ATTRS`] entries.
     pub fn attr(&mut self, key: &'static str, value: u64) {
-        if self.sink.is_none() {
-            return;
+        let record = &mut self.open.record;
+        if self.sink.is_some() && (record.attr_len as usize) < MAX_ATTRS {
+            record.attrs[record.attr_len as usize] = (key, value);
+            record.attr_len += 1;
         }
-        if (self.attr_len as usize) < MAX_ATTRS {
-            self.attrs[self.attr_len as usize] = (key, value);
-            self.attr_len += 1;
+    }
+
+    /// Closes the span with the caller's clock reading `end`.
+    pub fn end_at(mut self, end: Instant) {
+        if let Some(sink) = self.sink.take() {
+            sink.close(&self.open, end);
         }
+    }
+
+    /// Releases the sink borrow without recording; the returned state is
+    /// closed later through [`Phase::resume`].
+    pub fn detach(mut self) -> OpenSpan {
+        self.sink = None;
+        self.open
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let Some(sink) = self.sink else {
-            return;
+        if let Some(sink) = self.sink.take() {
+            sink.close(&self.open, Instant::now());
+        }
+    }
+}
+
+/// One timed phase. The clock is read once when the phase starts and once
+/// when it ends, and those two readings feed every attached sink: a
+/// [`PhaseTimer`], a duration [`Histogram`], and a trace [`Span`] (whose
+/// start and end are the same two instants). [`end`](Phase::end) returns
+/// the elapsed nanoseconds for anything else that reports the phase (the
+/// engine's round events), so all of them agree exactly.
+#[derive(Debug)]
+pub struct Phase<'a> {
+    start: Instant,
+    span: Span<'a>,
+    timer: Option<&'a PhaseTimer>,
+    histogram: Option<&'a Histogram>,
+}
+
+impl<'a> Phase<'a> {
+    /// Starts a phase now, with a `category/name` span under `parent` when
+    /// a trace sink is given.
+    pub fn start(
+        trace: Option<&'a TraceSink>,
+        category: &'static str,
+        name: &'static str,
+        parent: SpanId,
+    ) -> Phase<'a> {
+        let start = Instant::now();
+        let span = match trace {
+            Some(sink) => sink.span_at(category, name, parent, start),
+            None => Span::inert(),
         };
-        sink.record(SpanRecord {
-            id: self.id,
-            parent: self.parent,
-            thread: thread_id(),
-            category: self.category,
-            name: self.name,
-            start_ns: self.start_ns,
-            end_ns: sink.now_ns(),
-            attrs: self.attrs,
-            attr_len: self.attr_len,
-        });
+        Phase::with_span(start, span)
+    }
+
+    /// Resumes, as a phase, a span opened at the earlier reading `start`
+    /// and detached ([`Span::detach`]) by an owner that could not hold the
+    /// sink borrow.
+    pub fn resume(start: Instant, trace: Option<&'a TraceSink>, open: OpenSpan) -> Phase<'a> {
+        let sink = trace.filter(|_| !open.id().is_none());
+        Phase::with_span(start, Span { sink, open })
+    }
+
+    fn with_span(start: Instant, span: Span<'a>) -> Phase<'a> {
+        Phase {
+            start,
+            span,
+            timer: None,
+            histogram: None,
+        }
+    }
+
+    /// Also records the phase's duration into `timer`.
+    pub fn timer(self, timer: Option<&'a PhaseTimer>) -> Phase<'a> {
+        Phase { timer, ..self }
+    }
+
+    /// Also records the phase's duration into `histogram`.
+    pub fn histogram(self, histogram: Option<&'a Histogram>) -> Phase<'a> {
+        Phase { histogram, ..self }
+    }
+
+    /// The phase span's id, for parenting child spans.
+    pub fn id(&self) -> SpanId {
+        self.span.id()
+    }
+
+    /// Attaches a key/value attribute to the phase span.
+    pub fn attr(&mut self, key: &'static str, value: u64) {
+        self.span.attr(key, value);
+    }
+
+    /// Ends the phase: reads the clock once, records into every attached
+    /// sink, and returns the elapsed nanoseconds.
+    pub fn end(self) -> u64 {
+        let end = Instant::now();
+        let elapsed = end.saturating_duration_since(self.start);
+        if let Some(timer) = self.timer {
+            timer.record(elapsed);
+        }
+        if let Some(histogram) = self.histogram {
+            histogram.record_duration(elapsed);
+        }
+        self.span.end_at(end);
+        u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
     }
 }
 
@@ -796,6 +786,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+    use std::time::Duration;
 
     #[test]
     fn spans_record_nesting_and_attrs() {
@@ -863,16 +855,6 @@ mod tests {
         let summary = sink.render_summary();
         assert!(summary.contains("3 spans dropped"));
         assert!(summary.contains("1 of 16 shard rings"), "{summary}");
-    }
-
-    #[test]
-    fn wrapped_shards_zero_below_capacity() {
-        let sink = TraceSink::with_capacity(4);
-        for name in ["a", "b", "c", "d"] {
-            drop(sink.span("t", name, SpanId::NONE));
-        }
-        assert_eq!(sink.dropped(), 0);
-        assert_eq!(sink.wrapped_shards(), 0);
     }
 
     #[test]
@@ -954,12 +936,57 @@ mod tests {
     }
 
     #[test]
-    fn summary_percentiles_are_nearest_rank() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(nearest_rank(&sorted, 0.50), 50);
-        assert_eq!(nearest_rank(&sorted, 0.95), 95);
-        assert_eq!(nearest_rank(&sorted, 0.99), 99);
-        assert_eq!(nearest_rank(&[7], 0.5), 7);
+    fn summary_percentiles_are_bucketed_estimates() {
+        let sink = TraceSink::new();
+        let t0 = Instant::now();
+        for us in 1..=100u64 {
+            sink.span_at("t", "work", SpanId::NONE, t0)
+                .end_at(t0 + Duration::from_micros(us));
+        }
+        let row = &sink.summary()[0];
+        assert_eq!((row.count, row.total_ns), (100, 5_050_000), "exact");
+        // Exact nearest-rank values are 50, 95 and 99 µs; each estimate
+        // lands in the same log₂ bucket.
+        assert!((32_768..65_536).contains(&row.p50_ns));
+        assert!((65_536..131_072).contains(&row.p95_ns));
+        assert!((65_536..=100_000).contains(&row.p99_ns));
+        let table = sink.render_summary();
+        let p50 = format!("~{}", format_ns(row.p50_ns));
+        assert!(table.contains(&p50), "{table}");
+        assert!(table.contains("log2-bucket percentile estimate"), "{table}");
+    }
+
+    #[test]
+    fn summary_is_exact_past_ring_wrap_across_threads() {
+        // One retained span per shard: nearly every span is dropped from
+        // the export window, yet counts, totals and self times stay exact.
+        let sink = TraceSink::with_capacity(1);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..25 {
+                        let t0 = Instant::now();
+                        let parent = sink.span_at("t", "parent", SpanId::NONE, t0);
+                        for k in 0..3u64 {
+                            let start = t0 + Duration::from_nanos(100 * k);
+                            sink.span_at("t", "child", parent.id(), start)
+                                .end_at(start + Duration::from_nanos(70));
+                        }
+                        parent.end_at(t0 + Duration::from_nanos(1_000));
+                    }
+                });
+            }
+        });
+        assert!(sink.dropped() >= 400 - 16, "the ring wrapped: {}", sink.dropped());
+        let rows = sink.summary();
+        let row = |key: &str| rows.iter().find(|r| r.key == key).expect("row").clone();
+        let parent = row("t/parent");
+        let child = row("t/child");
+        assert_eq!((parent.count, parent.total_ns), (100, 100_000));
+        assert_eq!((child.count, child.total_ns), (300, 21_000));
+        assert_eq!(parent.self_ns, 100_000 - 21_000, "children credited at close");
+        assert_eq!(child.self_ns, child.total_ns, "leaf self == total");
+        assert_eq!((child.p50_ns, child.p99_ns), (70, 70), "one-value kind is exact");
     }
 
     #[test]
@@ -1037,13 +1064,6 @@ mod tests {
             .find(|l| l.contains("\"name\":\"s11\""))
             .expect("s11 line");
         assert!(batch.contains(streamed_line.trim_end_matches(',')));
-    }
-
-    #[test]
-    fn finish_stream_without_stream_is_a_no_op() {
-        let sink = TraceSink::new();
-        sink.finish_stream().unwrap();
-        assert_eq!(sink.streamed(), 0);
     }
 
     /// Fails every write after the preamble succeeds.

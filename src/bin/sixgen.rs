@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  sixgen generate   --seeds FILE [--budget N] [--mode loose|tight] [--out FILE] [--binary] [--shards N|auto] [--routes FILE] [--rng-seed N] [--time-limit DUR] [--metrics-out FILE] [--metrics-format json|prom] [--trace-out FILE] [--trace-stream FILE] [--trace-summary] [--checkpoint-out FILE] [--checkpoint-every N] [--resume CKPT] [--observe ADDR] [--progress] [--events-out FILE]\n  sixgen analyze    --seeds FILE [--budget N]\n  sixgen split      --seeds FILE --groups K --out-prefix PATH [--rng-seed N]\n  sixgen entropy-ip --seeds FILE [--budget N] [--out FILE] [--rng-seed N]\n  sixgen simulate   [--hosts N] [--budget N] [--loss P] [--bursty] [--rate-limit PPS]\n                    [--retries N] [--backoff DUR] [--retransmit-budget N] [--rate-pps N]\n                    [--rng-seed N] [--time-limit DUR] [--metrics-out FILE] [--metrics-format json|prom]\n                    [--trace-out FILE] [--trace-stream FILE] [--trace-summary]\n                    [--checkpoint-out FILE] [--checkpoint-every N] [--resume CKPT]\n                    [--observe ADDR] [--progress] [--events-out FILE]\n  sixgen serve      ADDR [--checkpoint-dir DIR] [--handler-threads N] [--addr-file FILE]\n\nDUR: seconds, or with ms/s/m/h suffix (e.g. 250ms, 90s, 5m)\n--metrics-out: write engine/prober metrics (JSON by default; a .prom extension\n               or --metrics-format prom selects Prometheus text exposition)\n--trace-out: write a Chrome trace-event JSON (Perfetto / chrome://tracing)\n--trace-stream: additionally stream every span to FILE as it completes\n                (lossless; --trace-out's ring keeps only the newest spans)\n--trace-summary: print a per-span-kind self-time summary table\n--checkpoint-out: snapshot resumable engine state to FILE (atomic rename)\n                  every N rounds (--checkpoint-every, default 1)\n--resume: continue an interrupted run from a checkpoint; the seed set, mode,\n          and RNG seed come from the checkpoint, and --budget (if given)\n          tops up the probe budget; sharded and single-engine checkpoints\n          are told apart by their magic bytes\n--shards: run generation as a sharded fleet over routed prefixes with N\n          scheduler workers (auto = machine parallelism); --budget is the\n          global budget, leased proportionally and recirculated, and the\n          output is byte-identical for any N\n--routes: routed-prefix table for --shards, one \"PREFIX [ASN]\" per line\n          (# comments allowed); seeds outside every routed prefix are\n          dropped; without --routes seeds shard by their /48\n--observe: serve read-only GET /metrics (Prometheus), /status (JSON), and\n           /healthz on ADDR (e.g. 127.0.0.1:9106) for the duration of the\n           run; purely observational — outputs are byte-identical\n--progress: live single-line progress on stderr (budget burn, rounds,\n            shards done, throughput, ETA)\n--events-out: stream every progress event (rounds, leases, parks,\n              barriers, terminations) to FILE as NDJSON\n\nserve: POST /jobs?budget=N&mode=loose|tight&rng_seed=N[&shards=N|auto]\n       [&time_limit=SECONDS][&checkpoint_every=N] with a seed hitlist\n       as the request body starts a job; GET /jobs/ID/targets streams\n       ranked targets (chunked) as rounds commit, ?from=N resumes a cut\n       stream; GET /jobs/ID/status, POST /jobs/ID/cancel; with\n       --checkpoint-dir a restarted server resumes unfinished jobs;\n       --addr-file writes the bound address (for port 0) once listening"
+        "usage:\n  sixgen generate   --seeds FILE [--budget N] [--mode loose|tight] [--out FILE] [--binary] [--shards N|auto] [--routes FILE] [--rng-seed N] [--time-limit DUR] [--metrics-out FILE] [--metrics-format json|prom] [--trace-out FILE] [--trace-stream FILE] [--trace-summary] [--checkpoint-out FILE] [--checkpoint-every N] [--resume CKPT] [--observe ADDR] [--progress] [--events-out FILE]\n  sixgen analyze    --seeds FILE [--budget N]\n  sixgen split      --seeds FILE --groups K --out-prefix PATH [--rng-seed N]\n  sixgen entropy-ip --seeds FILE [--budget N] [--out FILE] [--rng-seed N]\n  sixgen simulate   [--hosts N] [--budget N] [--loss P] [--bursty] [--rate-limit PPS]\n                    [--retries N] [--backoff DUR] [--retransmit-budget N] [--rate-pps N]\n                    [--rng-seed N] [--time-limit DUR] [--metrics-out FILE] [--metrics-format json|prom]\n                    [--trace-out FILE] [--trace-stream FILE] [--trace-summary]\n                    [--checkpoint-out FILE] [--checkpoint-every N] [--resume CKPT]\n                    [--observe ADDR] [--progress] [--events-out FILE]\n  sixgen serve      ADDR [--checkpoint-dir DIR] [--handler-threads N] [--addr-file FILE]\n\nDUR: seconds, or with ms/s/m/h suffix (e.g. 250ms, 90s, 5m)\n--metrics-out: write engine/prober metrics (JSON by default; a .prom extension\n               or --metrics-format prom selects Prometheus text exposition)\n--trace-out: write a Chrome trace-event JSON (Perfetto / chrome://tracing)\n--trace-stream: additionally stream every span to FILE as it completes\n                (lossless; --trace-out's ring keeps only the newest spans)\n--trace-summary: print a per-span-kind table: exact count, total and self\n                 time; ~p50/p95/p99 estimated from log2 buckets\n--checkpoint-out: snapshot resumable engine state to FILE (atomic rename)\n                  every N rounds (--checkpoint-every, default 1)\n--resume: continue an interrupted run from a checkpoint; the seed set, mode,\n          and RNG seed come from the checkpoint, and --budget (if given)\n          tops up the probe budget; sharded and single-engine checkpoints\n          are told apart by their magic bytes\n--shards: run generation as a sharded fleet over routed prefixes with N\n          scheduler workers (auto = machine parallelism); --budget is the\n          global budget, leased proportionally and recirculated, and the\n          output is byte-identical for any N\n--routes: routed-prefix table for --shards, one \"PREFIX [ASN]\" per line\n          (# comments allowed); seeds outside every routed prefix are\n          dropped; without --routes seeds shard by their /48\n--observe: serve read-only GET /metrics (Prometheus), /status (JSON), and\n           /healthz on ADDR (e.g. 127.0.0.1:9106) for the duration of the\n           run; purely observational — outputs are byte-identical\n--progress: live single-line progress on stderr (budget burn, rounds,\n            shards done, throughput, ETA)\n--events-out: stream every progress event (rounds, leases, parks,\n              barriers, terminations) to FILE as NDJSON\n\nserve: POST /jobs?budget=N&mode=loose|tight&rng_seed=N[&shards=N|auto]\n       [&time_limit=SECONDS][&checkpoint_every=N] with a seed hitlist\n       as the request body starts a job; GET /jobs/ID/targets streams\n       ranked targets (chunked) as rounds commit, ?from=N resumes a cut\n       stream; GET /jobs/ID/status, POST /jobs/ID/cancel; with\n       --checkpoint-dir a restarted server resumes unfinished jobs;\n       --addr-file writes the bound address (for port 0) once listening"
     );
     ExitCode::from(2)
 }
