@@ -4,7 +4,6 @@
 use crate::budget::{BudgetTracker, Charge};
 use crate::checkpoint::{CachedCheckpoint, CheckpointError, EngineCheckpoint, SlotCheckpoint};
 use crate::cluster::{evaluate_growth_bounded, evaluate_growth_unfused, Cluster, Growth};
-use crate::draw::bounded_draw;
 use crate::outcome::{ClusterInfo, Outcome, RunStats, TargetSet, Termination};
 use crate::select::{SelectKey, SelectTree};
 use crate::Config;
@@ -25,13 +24,45 @@ use std::time::{Duration, Instant};
 /// grow independently, all other clusters remain unchanged and their best
 /// growths can be cached between iterations."
 #[derive(Debug)]
-enum Cached {
+pub(crate) enum Cached {
     /// Must be (re)computed: the cluster is new or just grew.
     Stale,
     /// The cluster contains every seed; it can never grow.
     Exhausted,
     /// A valid best growth.
     Ready(Growth),
+}
+
+impl From<&Cached> for CachedCheckpoint {
+    fn from(cached: &Cached) -> CachedCheckpoint {
+        match cached {
+            Cached::Stale => CachedCheckpoint::Stale,
+            Cached::Exhausted => CachedCheckpoint::Exhausted,
+            Cached::Ready(growth) => CachedCheckpoint::Ready {
+                range: growth.range.clone(),
+                seed_count: growth.seed_count,
+                range_size: growth.range_size,
+            },
+        }
+    }
+}
+
+impl From<CachedCheckpoint> for Cached {
+    fn from(cached: CachedCheckpoint) -> Cached {
+        match cached {
+            CachedCheckpoint::Stale => Cached::Stale,
+            CachedCheckpoint::Exhausted => Cached::Exhausted,
+            CachedCheckpoint::Ready {
+                range,
+                seed_count,
+                range_size,
+            } => Cached::Ready(Growth {
+                range,
+                seed_count,
+                range_size,
+            }),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -41,7 +72,7 @@ struct Slot {
 }
 
 impl SelectKey {
-    fn of(cached: &Cached) -> SelectKey {
+    pub(crate) fn of(cached: &Cached) -> SelectKey {
         match cached {
             Cached::Ready(growth) => SelectKey {
                 count: growth.seed_count,
@@ -52,42 +83,38 @@ impl SelectKey {
     }
 }
 
-/// Round-loop acceleration structures for the default execution mode.
+/// The round loop's index structures, maintained at the O(1)-per-round
+/// mutation points (one cache refill, one commit, a handful of
+/// subsumptions) so a round costs O(affected + log N) rather than
+/// O(clusters):
 ///
-/// The reference round loop (kept behind [`Config::scan_round`]) pays
-/// O(clusters) per round twice: a full scan of the key array to select
-/// the best growth, and a full swap-compaction pass to delete subsumed
-/// clusters. Both scans are replaced here by structures maintained
-/// incrementally at the O(1)-per-round mutation points (one commit, a
-/// handful of subsumptions), so a round costs O(affected + log N):
-///
-/// * **selection** — a tournament tree over the keys ([`SelectTree`])
-///   that replays the scan's tie-break draw stream exactly;
+/// * **selection** — a tournament tree over the slots' [`SelectKey`]s
+///   ([`SelectTree`]) that replays the full scan's tie-break draw stream
+///   exactly; its leaves hold the only copy of each key;
 /// * **subsumption** — a min-address index: `C ⊆ R` forces
 ///   `min(C) ∈ R` (per position, the minimum of a subset is a member of
 ///   the superset's nybble set), so the live clusters whose minimum
 ///   address lies inside the newly grown range — enumerated from an
 ///   uncompressed [`NybbleTree`] over the distinct minima — are a
-///   complete candidate set, each then verified with the same exact
-///   [`PackedMasks::is_subset`] test the scan uses. No RNG is involved,
-///   so a false candidate costs four words and changes nothing.
+///   complete candidate set, each then verified with the exact
+///   [`PackedMasks::is_subset`] test. No RNG is involved, so a false
+///   candidate costs four words and changes nothing.
 ///
-/// Instead of compacting the slot arrays, subsumed slots are
-/// **tombstoned in place** (`live[i] = false`, key set to
-/// [`SelectKey::NONE`] so the tree never selects them). Because the
-/// scan mode's swap-compaction is stable, the live slots appear in the
-/// same relative order in both modes — which makes the scan order of
-/// ready keys, and therefore the whole RNG draw stream, identical.
-/// [`Session::checkpoint`] live-compacts, so checkpoints are
-/// byte-identical across modes too.
+/// Subsumed slots are **tombstoned in place** (`live[i] = false`, key
+/// set to [`SelectKey::NONE`] so the tree never selects them). The live
+/// slots keep the relative order a stable compaction would give them,
+/// which is the order the test-only full-scan reference walks — so the
+/// scan order of ready keys, and with it the whole RNG draw stream, is
+/// the reference's. [`Session::checkpoint`] live-compacts, so
+/// checkpoints carry no tombstones.
 #[derive(Debug)]
-struct IncrementalState {
+struct RoundIndex {
     /// Liveness flags, parallel to `slots`. Slot counts never grow after
     /// initialization (a commit replaces in place, subsumption only
     /// kills), so all parallel structures are sized once.
     live: Vec<bool>,
     live_count: usize,
-    /// Tournament tree over the key array.
+    /// Tournament tree over the slots' selection keys.
     select: SelectTree,
     /// Distinct minimum addresses of live clusters (set semantics: an
     /// address stays while any live cluster has it as its minimum).
@@ -98,19 +125,20 @@ struct IncrementalState {
     slots_by_min: HashMap<u128, Vec<u32>>,
 }
 
-impl IncrementalState {
-    fn build(slots: &[Slot], keys: &[SelectKey]) -> IncrementalState {
-        let mut state = IncrementalState {
+impl RoundIndex {
+    fn build(slots: &[Slot]) -> RoundIndex {
+        let keys: Vec<SelectKey> = slots.iter().map(|s| SelectKey::of(&s.cached)).collect();
+        let mut index = RoundIndex {
             live: vec![true; slots.len()],
             live_count: slots.len(),
-            select: SelectTree::from_keys(keys),
+            select: SelectTree::from_keys(&keys),
             min_tree: NybbleTree::new(),
             slots_by_min: HashMap::with_capacity(slots.len()),
         };
         for (i, slot) in slots.iter().enumerate() {
-            state.add_min(slot.cluster.range.min_address(), i);
+            index.add_min(slot.cluster.range.min_address(), i);
         }
-        state
+        index
     }
 
     fn add_min(&mut self, min: NybbleAddr, slot: usize) {
@@ -149,7 +177,7 @@ impl IncrementalState {
 /// one registry (e.g. the bench pipeline's per-prefix runs) report
 /// aggregate totals.
 #[derive(Debug, Clone)]
-struct EngineMetrics {
+pub(crate) struct EngineMetrics {
     cache_fill: Arc<PhaseTimer>,
     select: Arc<PhaseTimer>,
     commit: Arc<PhaseTimer>,
@@ -214,7 +242,7 @@ impl EngineMetrics {
 #[derive(Debug, Clone)]
 pub struct SixGen {
     shared: Arc<EngineShared>,
-    config: Config,
+    pub(crate) config: Config,
 }
 
 /// The run-immutable inputs shared across pool workers.
@@ -482,7 +510,7 @@ impl SixGen {
     /// carrying the cluster's identity (low 64 bits of its range minimum),
     /// candidate-set size, ranges evaluated, and the chosen growth's
     /// density (parts per million) and size.
-    fn compute_growth(
+    pub(crate) fn compute_growth(
         &self,
         cluster: &Cluster,
         parallel_worker: bool,
@@ -641,22 +669,18 @@ impl std::error::Error for ResumeError {}
 pub struct Session {
     engine: SixGen,
     slots: Vec<Slot>,
-    /// Compact selection keys, parallel to `slots` (see [`SelectKey`]).
-    keys: Vec<SelectKey>,
-    /// Packed range masks, parallel to `slots`: the subsumption scan
-    /// tests every live cluster against each newly grown range, and
-    /// reading four words per cluster beats re-deriving 32 set
-    /// comparisons from the full `Slot` every round.
+    /// Packed range masks, parallel to `slots`: the subsumption test
+    /// checks each candidate against the newly grown range, and reading
+    /// four words per cluster beats re-deriving 32 set comparisons from
+    /// the full `Slot` every round.
     packed: Vec<PackedMasks>,
     /// Incremental cache invalidation (§5.5): exactly which slots are
     /// stale, instead of rescanning every slot each round. After
     /// initialization that is everyone; after each commit, only the
     /// grown cluster.
     stale_indices: Vec<usize>,
-    /// Incremental select/subsume structures (`None` when
-    /// [`Config::scan_round`] requests the reference full-scan round
-    /// loop). See [`IncrementalState`] for the equivalence argument.
-    incremental: Option<IncrementalState>,
+    /// Liveness, selection and subsumption structures over `slots`.
+    index: RoundIndex,
     rng: StdRng,
     budget: BudgetTracker,
     rounds: u64,
@@ -693,7 +717,11 @@ impl Session {
     /// [`Termination::ExhaustedAtInit`]) are born finished.
     pub fn start(engine: SixGen) -> Session {
         let started = Instant::now();
-        let deadline = engine.config.time_limit.map(|limit| started + limit);
+        // A deadline past what `Instant` can represent is no deadline.
+        let deadline = engine
+            .config
+            .time_limit
+            .and_then(|limit| started.checked_add(limit));
         let metrics = engine.config.metrics.as_deref().map(EngineMetrics::new);
         let root = Self::open_root(&engine, started, None);
         let pool = Self::session_pool(&engine);
@@ -719,18 +747,15 @@ impl Session {
             }
         }
         let stale_indices: Vec<usize> = (0..slots.len()).collect();
-        let keys = vec![SelectKey::NONE; slots.len()];
         let packed = slots.iter().map(|s| s.cluster.range.packed_masks()).collect();
-        let incremental =
-            (!engine.config.scan_round).then(|| IncrementalState::build(&slots, &keys));
+        let index = RoundIndex::build(&slots);
         let session = Session {
             rng: StdRng::seed_from_u64(engine.config.rng_seed),
             engine,
             slots,
-            keys,
             packed,
             stale_indices,
-            incremental,
+            index,
             budget,
             rounds: 0,
             growths: 0,
@@ -830,7 +855,9 @@ impl Session {
         let budget = BudgetTracker::restore(config.budget, checkpoint.generated)
             .ok_or(ResumeError::Corrupt("duplicate generated address"))?;
         let started = Instant::now();
-        let deadline = config.time_limit.map(|limit| started + limit);
+        let deadline = config
+            .time_limit
+            .and_then(|limit| started.checked_add(limit));
         let metrics = config.metrics.as_deref().map(EngineMetrics::new);
         // The tree is a pure function of the seed list; rebuild it instead
         // of shipping it in the checkpoint. The checkpointed list is
@@ -846,32 +873,15 @@ impl Session {
                     range: s.range,
                     seed_count: s.seed_count,
                 },
-                cached: match s.cached {
-                    CachedCheckpoint::Stale => Cached::Stale,
-                    CachedCheckpoint::Exhausted => Cached::Exhausted,
-                    CachedCheckpoint::Ready {
-                        range,
-                        seed_count,
-                        range_size,
-                    } => Cached::Ready(Growth {
-                        range,
-                        seed_count,
-                        range_size,
-                    }),
-                },
+                cached: s.cached.into(),
             })
             .collect();
-        // Keys and packed masks are caches over the slots; at a round
-        // boundary both are exactly what `SelectKey::of` / `packed_masks`
-        // derive, so they are rebuilt rather than serialized. The same
-        // goes for the incremental structures: a checkpoint holds only
-        // live, compacted slots, so rebuilding them deterministically is
-        // a pure function of the slot list — and the checkpoint never
-        // records which execution mode produced it.
-        let keys: Vec<SelectKey> = slots.iter().map(|s| SelectKey::of(&s.cached)).collect();
+        // Packed masks, selection keys and the min-address index are
+        // caches over the slots: a checkpoint holds only live, compacted
+        // slots, so they are rebuilt deterministically from the slot list
+        // rather than serialized.
         let packed = slots.iter().map(|s| s.cluster.range.packed_masks()).collect();
-        let incremental =
-            (!engine.config.scan_round).then(|| IncrementalState::build(&slots, &keys));
+        let index = RoundIndex::build(&slots);
         let stale_indices = checkpoint
             .stale
             .iter()
@@ -882,10 +892,9 @@ impl Session {
             rng: StdRng::from_state(checkpoint.rng_state),
             engine,
             slots,
-            keys,
             packed,
             stale_indices,
-            incremental,
+            index,
             budget,
             rounds: checkpoint.rounds,
             growths: checkpoint.growths,
@@ -920,32 +929,26 @@ impl Session {
     /// round boundaries of in-progress runs (as
     /// [`run_with`](Session::run_with) hooks naturally do).
     pub fn checkpoint(&self) -> EngineCheckpoint {
-        // Incremental mode tombstones subsumed slots in place; the
-        // checkpoint live-compacts them away and remaps stale indices to
-        // live *ranks* (live slots strictly before the index), so the
-        // snapshot is byte-identical to scan mode's eagerly-compacted
-        // one. That identity is what keeps the execution mode out of the
-        // resume fingerprint: a checkpoint taken in either mode resumes
-        // in either mode.
-        let live = |i: usize| self.incremental.as_ref().is_none_or(|inc| inc.live[i]);
-        let stale: Vec<u64> = match &self.incremental {
-            None => self.stale_indices.iter().map(|&i| i as u64).collect(),
-            Some(inc) => {
-                let mut rank = vec![0u64; self.slots.len()];
-                let mut live_before = 0u64;
-                for (i, r) in rank.iter_mut().enumerate() {
-                    *r = live_before;
-                    live_before += u64::from(inc.live[i]);
-                }
-                self.stale_indices
-                    .iter()
-                    .map(|&i| {
-                        debug_assert!(inc.live[i], "a dead slot can never be stale");
-                        rank[i]
-                    })
-                    .collect()
-            }
-        };
+        // Subsumed slots are tombstoned in place; the checkpoint
+        // live-compacts them away and remaps stale indices to live
+        // *ranks* (live slots strictly before the index). The result is
+        // the stably compacted slot list of Algorithm 1 as written, so
+        // the wire format carries no trace of the tombstones.
+        let live = &self.index.live;
+        let mut rank = vec![0u64; self.slots.len()];
+        let mut live_before = 0u64;
+        for (i, r) in rank.iter_mut().enumerate() {
+            *r = live_before;
+            live_before += u64::from(live[i]);
+        }
+        let stale: Vec<u64> = self
+            .stale_indices
+            .iter()
+            .map(|&i| {
+                debug_assert!(live[i], "a dead slot can never be stale");
+                rank[i]
+            })
+            .collect();
         EngineCheckpoint {
             mode: self.engine.config.mode,
             unfused_growth: self.engine.config.unfused_growth,
@@ -963,19 +966,11 @@ impl Session {
                 .slots
                 .iter()
                 .enumerate()
-                .filter(|&(i, _)| live(i))
+                .filter(|&(i, _)| live[i])
                 .map(|(_, s)| SlotCheckpoint {
                     range: s.cluster.range.clone(),
                     seed_count: s.cluster.seed_count,
-                    cached: match &s.cached {
-                        Cached::Stale => CachedCheckpoint::Stale,
-                        Cached::Exhausted => CachedCheckpoint::Exhausted,
-                        Cached::Ready(growth) => CachedCheckpoint::Ready {
-                            range: growth.range.clone(),
-                            seed_count: growth.seed_count,
-                            range_size: growth.range_size,
-                        },
-                    },
+                    cached: (&s.cached).into(),
                 })
                 .collect(),
             stale,
@@ -1013,16 +1008,11 @@ impl Session {
                 phase.id(),
                 self.pool.as_ref(),
             );
-            for &i in &stale_now {
-                self.keys[i] = SelectKey::of(&self.slots[i].cached);
-            }
             // Event-driven refill propagation: the freshly computed keys
             // are pushed into the select tree here, at the only point
             // they change, instead of rebuilding anything per round.
-            if let Some(inc) = &mut self.incremental {
-                for &i in &stale_now {
-                    inc.select.set(i, self.keys[i]);
-                }
+            for &i in &stale_now {
+                self.index.select.set(i, SelectKey::of(&self.slots[i].cached));
             }
         }
         phase.attr("clusters", self.live_cluster_count() as u64);
@@ -1046,55 +1036,16 @@ impl Session {
 
         // Select the globally best cached growth: maximum density, then
         // smallest range, then uniformly at random among exact ties
-        // (reservoir over scan order keeps this deterministic).
+        // (reservoir over slot order keeps this deterministic). The
+        // tournament tree finds the full scan's winner with the scan's
+        // tie-break draw stream in O(eras · log N + draws) instead of
+        // O(clusters + draws); see `SelectTree::select`.
         let rng_at_boundary = self.rng.state();
         let mut phase = Phase::start(trace, "engine", "select", self.root.id())
             .timer(self.metrics.as_ref().map(|m| &*m.select));
         phase.attr("clusters", self.live_cluster_count() as u64);
         let rng = &mut self.rng;
-        let best_index: Option<usize> = match &self.incremental {
-            // Tournament-tree selection: same winner, same tie-break
-            // draw stream as the scan below, in O(eras · log N + draws)
-            // instead of O(clusters + draws). See `SelectTree::select`.
-            Some(inc) => inc.select.select(|| rng.gen::<u64>()),
-            // Reference scan over the compact key array; the comparison
-            // and tie-break logic (and therefore the RNG draw sequence)
-            // are identical to comparing the cached growths directly,
-            // pinned by SelectKey::preference's contract.
-            None => {
-                let mut best_index: Option<usize> = None;
-                let mut best_key = SelectKey::NONE;
-                let mut ties: u64 = 0;
-                for (i, key) in self.keys.iter().enumerate() {
-                    if !key.is_ready() {
-                        continue;
-                    }
-                    match best_index {
-                        None => {
-                            best_index = Some(i);
-                            best_key = *key;
-                            ties = 1;
-                        }
-                        Some(_) => match key.preference(&best_key) {
-                            core::cmp::Ordering::Greater => {
-                                best_index = Some(i);
-                                best_key = *key;
-                                ties = 1;
-                            }
-                            core::cmp::Ordering::Equal => {
-                                ties += 1;
-                                if bounded_draw(|| rng.gen::<u64>(), ties) == 0 {
-                                    best_index = Some(i);
-                                    best_key = *key;
-                                }
-                            }
-                            core::cmp::Ordering::Less => {}
-                        },
-                    }
-                }
-                best_index
-            }
-        };
+        let best_index = self.index.select.select(|| rng.gen::<u64>());
         let select = phase.end();
         let Some(grown_index) = best_index else {
             // Every cluster contains all seeds: nothing can grow.
@@ -1154,103 +1105,59 @@ impl Session {
             },
             cached: Cached::Stale,
         };
-        self.keys[grown_index] = SelectKey::NONE;
         self.packed[grown_index] = self.slots[grown_index].cluster.range.packed_masks();
         let new_packed = self.packed[grown_index];
-        if let Some(inc) = &mut self.incremental {
-            inc.select.set(grown_index, SelectKey::NONE);
-            let new_min = self.slots[grown_index].cluster.range.min_address();
-            if new_min != old_min {
-                inc.remove_min(old_min, grown_index);
-                inc.add_min(new_min, grown_index);
-            }
+        self.index.select.set(grown_index, SelectKey::NONE);
+        let new_min = self.slots[grown_index].cluster.range.min_address();
+        if new_min != old_min {
+            self.index.remove_min(old_min, grown_index);
+            self.index.add_min(new_min, grown_index);
         }
         let commit = phase.end();
         let mut phase = Phase::start(trace, "engine", "subsume", self.root.id())
             .timer(self.metrics.as_ref().map(|m| &*m.subsume));
-        let (killed, grown_stale_index) = match &mut self.incremental {
-            // Min-address candidate enumeration: every cluster subsumed
-            // by the new range has its minimum address inside it, so the
-            // range query over the distinct live minima yields a complete
-            // candidate set — typically the handful of clusters actually
-            // subsumed plus the grown cluster itself — and each candidate
-            // is verified with the exact subset test. Survivors are
-            // untouched, so the round costs O(candidates), not
-            // O(clusters).
-            Some(inc) => {
-                let new_range = self.slots[grown_index].cluster.range.clone();
-                let mut candidates: Vec<u32> = Vec::new();
-                let slots_by_min = &inc.slots_by_min;
-                inc.min_tree.for_each_in_range(&new_range, |min| {
-                    if let Some(entries) = slots_by_min.get(&min.bits()) {
-                        candidates.extend_from_slice(entries);
-                    }
-                });
-                candidates.sort_unstable();
-                let mut killed = 0u64;
-                for &c in &candidates {
-                    let i = c as usize;
-                    if i == grown_index || !self.packed[i].is_subset(&new_packed) {
-                        continue;
-                    }
-                    debug_assert!(inc.live[i], "the min index holds only live slots");
-                    // Tombstone in place: the slot keeps its position so
-                    // the live-slot order (and with it the select draw
-                    // stream) matches scan mode's stable compaction.
-                    inc.live[i] = false;
-                    inc.live_count -= 1;
-                    self.keys[i] = SelectKey::NONE;
-                    inc.select.set(i, SelectKey::NONE);
-                    // Dead slots must not read as stale — `fill_caches`
-                    // asserts the stale list is exact.
-                    self.slots[i].cached = Cached::Exhausted;
-                    let min = self.slots[i].cluster.range.min_address();
-                    inc.remove_min(min, i);
-                    killed += 1;
-                }
-                (killed, grown_index)
+        // Min-address candidate enumeration: every cluster subsumed by
+        // the new range has its minimum address inside it, so the range
+        // query over the distinct live minima yields a complete candidate
+        // set — typically the handful of clusters actually subsumed plus
+        // the grown cluster itself — and each candidate is verified with
+        // the exact subset test. Survivors are untouched, so the round
+        // costs O(candidates), not O(clusters).
+        let index = &mut self.index;
+        let new_range = &self.slots[grown_index].cluster.range;
+        let mut candidates: Vec<u32> = Vec::new();
+        index.min_tree.for_each_in_range(new_range, |min| {
+            if let Some(entries) = index.slots_by_min.get(&min.bits()) {
+                candidates.extend_from_slice(entries);
             }
-            // Reference path: compact `slots`, `packed`, and `keys` in
-            // one swap-based pass. The subset test reads only the packed
-            // mask array (four words per cluster), survivors swap down
-            // into place (stably — relative order is preserved), and
-            // everything past the write cursor dies at truncate. The
-            // grown cluster's position is tracked through the
-            // compaction; it is the round's only stale cache (see
-            // `fill_caches` for why no other cache can be invalidated
-            // by this commit).
-            None => {
-                let before = self.slots.len();
-                let mut write = 0;
-                let mut grown_new_index = grown_index;
-                for read in 0..self.slots.len() {
-                    let keep = read == grown_index || !self.packed[read].is_subset(&new_packed);
-                    if keep {
-                        if read == grown_index {
-                            grown_new_index = write;
-                        }
-                        if read != write {
-                            self.slots.swap(read, write);
-                            self.packed[write] = self.packed[read];
-                            self.keys[write] = self.keys[read];
-                        }
-                        write += 1;
-                    }
-                }
-                self.slots.truncate(write);
-                self.packed.truncate(write);
-                self.keys.truncate(write);
-                ((before - write) as u64, grown_new_index)
+        });
+        candidates.sort_unstable();
+        let mut killed = 0u64;
+        for &c in &candidates {
+            let i = c as usize;
+            if i == grown_index || !self.packed[i].is_subset(&new_packed) {
+                continue;
             }
-        };
-        // The grown cluster is the round's only new stale cache. The
-        // membership guard is defensive: `step` drains the stale list at
-        // the top of every round, so the push can never duplicate today,
-        // but a duplicated entry would recompute a growth twice and trip
-        // the exactness asserts in `fill_caches`.
-        if !self.stale_indices.contains(&grown_stale_index) {
-            self.stale_indices.push(grown_stale_index);
+            debug_assert!(index.live[i], "the min index holds only live slots");
+            // Tombstone in place: the slot keeps its position so the
+            // live-slot order (and with it the select draw stream) is
+            // that of a stable compaction.
+            index.live[i] = false;
+            index.live_count -= 1;
+            index.select.set(i, SelectKey::NONE);
+            // Dead slots must not read as stale — `fill_caches` asserts
+            // the stale list is exact.
+            self.slots[i].cached = Cached::Exhausted;
+            index.remove_min(self.slots[i].cluster.range.min_address(), i);
+            killed += 1;
         }
+        // The grown cluster is the round's only new stale cache (see
+        // `fill_caches` for why no other cache can be invalidated).
+        debug_assert!(
+            self.stale_indices.is_empty(),
+            "step drains the stale list at the top of every round"
+        );
+        self.stale_indices.push(grown_index);
         self.subsumed += killed;
         phase.attr("subsumed", killed);
         let subsume = phase.end();
@@ -1346,18 +1253,18 @@ impl Session {
     /// # Panics
     ///
     /// If the session has not terminated (no [`Step::Done`] yet).
-    pub fn finish(mut self) -> Outcome {
+    pub fn finish(self) -> Outcome {
         let termination = self
             .done
             .expect("finish() requires a terminated session; step() until Step::Done");
         let segment_ns =
             Phase::resume(self.started, self.engine.config.trace.as_deref(), self.root).end();
-        let incremental = self.incremental.take();
+        let live = &self.index.live;
         let clusters = self
             .slots
             .into_iter()
             .enumerate()
-            .filter(|&(i, _)| incremental.as_ref().is_none_or(|inc| inc.live[i]))
+            .filter(|&(i, _)| live[i])
             .map(|(_, s)| ClusterInfo {
                 range_size: s.cluster.range.size(),
                 seed_count: s.cluster.seed_count,
@@ -1449,12 +1356,10 @@ impl Session {
         self.live_cluster_count()
     }
 
-    /// Live clusters: in incremental mode dead slots are tombstoned in
-    /// place, so the slot count over-reports.
+    /// Live clusters: dead slots are tombstoned in place, so the slot
+    /// count over-reports.
     fn live_cluster_count(&self) -> usize {
-        self.incremental
-            .as_ref()
-            .map_or(self.slots.len(), |inc| inc.live_count)
+        self.index.live_count
     }
 }
 
@@ -1789,6 +1694,29 @@ mod tests {
         )
         .run();
         assert_eq!(outcome.stats.termination, Termination::AllSeedsClustered);
+    }
+
+    #[test]
+    fn unrepresentable_deadline_means_no_deadline() {
+        let run = |time_limit| {
+            let config = Config {
+                time_limit,
+                ..Config::with_budget(2000)
+            };
+            SixGen::new(parallel_test_seeds(), config).run()
+        };
+        let (unlimited, huge) = (run(None), run(Some(Duration::MAX)));
+        assert_eq!(unlimited.targets.as_slice(), huge.targets.as_slice());
+        assert_eq!(unlimited.stats.termination, huge.stats.termination);
+        // The same holds for a resumed segment.
+        let mut session = SixGen::new(parallel_test_seeds(), Config::with_budget(2000)).session();
+        session.step();
+        let config = Config {
+            time_limit: Some(Duration::MAX),
+            ..Config::with_budget(2000)
+        };
+        let resumed = Session::resume(session.checkpoint(), config).expect("resume");
+        assert_eq!(resumed.run().targets.as_slice(), unlimited.targets.as_slice());
     }
 
     fn parallel_test_seeds() -> Vec<NybbleAddr> {

@@ -54,6 +54,8 @@ mod draw;
 mod engine;
 mod outcome;
 mod pool;
+#[cfg(test)]
+mod reference;
 mod select;
 mod shard;
 
@@ -170,17 +172,6 @@ pub struct Config {
     /// flag to prove it. Not part of the stable API.
     #[doc(hidden)]
     pub unfused_growth: bool,
-    /// Test hook: execute the per-round selection and subsumption phases
-    /// with the reference full-scan implementations instead of the
-    /// incremental structures (tournament select tree, min-address
-    /// subsumption index). Both paths must produce byte-identical targets,
-    /// growth order, RNG draw streams, deterministic metrics, and
-    /// checkpoints; differential tests flip this flag to prove it. The
-    /// flag is not part of the checkpoint fingerprint — a checkpoint
-    /// taken in either mode resumes in either mode. Not part of the
-    /// stable API.
-    #[doc(hidden)]
-    pub scan_round: bool,
 }
 
 /// Test hook describing when growth evaluation should deliberately panic,
@@ -214,7 +205,6 @@ impl Default for Config {
             shard_id: 0,
             panic_injection: None,
             unfused_growth: false,
-            scan_round: false,
         }
     }
 }

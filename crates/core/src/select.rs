@@ -3,8 +3,9 @@
 //!
 //! ## What the scan does
 //!
-//! The reference implementation (kept behind `Config::scan_round`) walks the
-//! key array in slot order carrying a running best. Each ready key compares
+//! The reference implementation (the test-only `reference::scan_select`,
+//! the selection step of Algorithm 1 as written) walks the key array in
+//! slot order carrying a running best. Each ready key compares
 //! against the running best with [`SelectKey::preference`]:
 //!
 //! * `Greater` — the key becomes the new running best, tie count resets to 1;
@@ -241,42 +242,7 @@ impl SelectTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The reference scan, lifted verbatim from the engine's
-    /// `scan_round` path (minus metrics): the ground truth the tree must
-    /// reproduce draw-for-draw.
-    fn scan_reference(keys: &[SelectKey], mut next_word: impl FnMut() -> u64) -> Option<usize> {
-        let mut best_index: Option<usize> = None;
-        let mut best_key = SelectKey::NONE;
-        let mut ties: u64 = 0;
-        for (i, key) in keys.iter().enumerate() {
-            if !key.is_ready() {
-                continue;
-            }
-            match best_index {
-                None => {
-                    best_index = Some(i);
-                    best_key = *key;
-                    ties = 1;
-                }
-                Some(_) => match key.preference(&best_key) {
-                    core::cmp::Ordering::Greater => {
-                        best_index = Some(i);
-                        best_key = *key;
-                        ties = 1;
-                    }
-                    core::cmp::Ordering::Equal => {
-                        ties += 1;
-                        if bounded_draw(&mut next_word, ties) == 0 {
-                            best_index = Some(i);
-                        }
-                    }
-                    core::cmp::Ordering::Less => {}
-                },
-            }
-        }
-        best_index
-    }
+    use crate::reference::scan_select;
 
     /// A deterministic word stream that records how many words were
     /// consumed — the draw-stream fingerprint the tree must match.
@@ -333,7 +299,7 @@ mod tests {
             for edit in 0..6 {
                 let mut scan_stream = Stream::new(trial * 31 + edit);
                 let mut tree_stream = Stream::new(trial * 31 + edit);
-                let expected = scan_reference(&keys, || scan_stream.next());
+                let expected = scan_select(&keys, || scan_stream.next());
                 let got = tree.select(|| tree_stream.next());
                 assert_eq!(got, expected, "winner diverged (trial {trial}, edit {edit})");
                 assert_eq!(

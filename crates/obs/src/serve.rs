@@ -37,6 +37,7 @@
 use std::collections::VecDeque;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -413,9 +414,10 @@ fn worker_loop(queue: &ConnQueue, handler: &dyn HttpHandler, stop: &AtomicBool) 
     }
 }
 
-/// Reads one request and writes one response. All IO errors are
-/// swallowed: a broken client connection must never disturb the server
-/// (or an observed run).
+/// Reads one request and writes one response. All IO errors and
+/// handler panics (including ones raised by a chunked body's producer)
+/// are swallowed: a broken client connection or a faulty handler must
+/// never disturb the server (or an observed run).
 fn handle_connection(mut stream: TcpStream, handler: &dyn HttpHandler, stop: &AtomicBool) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
@@ -428,8 +430,14 @@ fn handle_connection(mut stream: TcpStream, handler: &dyn HttpHandler, stop: &At
             return;
         }
     };
-    let response = handler.handle(&request);
-    let _ = write_response(&mut stream, response, stop);
+    // A panicking handler answers 500 and leaves its worker alive: a
+    // dead worker would shrink the pool for good while the accept
+    // thread keeps queueing connections nobody answers.
+    let response = catch_unwind(AssertUnwindSafe(|| handler.handle(&request)))
+        .unwrap_or_else(|_| Response::text("500 Internal Server Error", "handler panicked\n"));
+    let _ = catch_unwind(AssertUnwindSafe(|| {
+        write_response(&mut stream, response, stop)
+    }));
 }
 
 fn write_response(
@@ -1163,6 +1171,40 @@ mod tests {
         );
         let payload = body(&response);
         assert_eq!(payload, "6\r\nhello \r\n6\r\nworld\n\r\n0\r\n\r\n");
+        server.shutdown();
+    }
+
+    /// Panics on `/boom`, and in the body producer of `/boom-stream`;
+    /// answers everything else.
+    struct Boom;
+
+    impl HttpHandler for Boom {
+        fn handle(&self, request: &Request) -> Response {
+            assert_ne!(request.path, "/boom", "handler bug");
+            if request.path == "/boom-stream" {
+                return Response::chunked("text/plain", |_| panic!("producer bug"));
+            }
+            Response::ok_text("ok\n")
+        }
+    }
+
+    /// More panicking requests than handler threads: each answers 500
+    /// (or, once a stream's header is out, ends the connection), and the
+    /// pool still serves `/healthz` fast afterwards.
+    #[test]
+    fn handler_panics_answer_500_and_keep_workers_alive() {
+        let server = HttpServer::bind("127.0.0.1:0", Arc::new(Boom), 2).expect("bind server");
+        let addr = server.local_addr();
+        for _ in 0..3 {
+            let response = get(addr, "GET /boom HTTP/1.1\r\n\r\n");
+            assert!(response.starts_with("HTTP/1.1 500"), "{response}");
+            let response = get(addr, "GET /boom-stream HTTP/1.1\r\n\r\n");
+            assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        }
+        let started = Instant::now();
+        let health = get(addr, "GET /healthz HTTP/1.1\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+        assert!(started.elapsed() < Duration::from_millis(100));
         server.shutdown();
     }
 

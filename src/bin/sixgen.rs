@@ -126,11 +126,9 @@ fn parse_duration(text: &str) -> Option<std::time::Duration> {
     } else {
         (text, 1.0)
     };
+    // Negative, non-finite and unrepresentably large values are refused.
     let value: f64 = number.parse().ok()?;
-    if !value.is_finite() || value < 0.0 {
-        return None;
-    }
-    Some(std::time::Duration::from_secs_f64(value * scale))
+    std::time::Duration::try_from_secs_f64(value * scale).ok()
 }
 
 fn parse(args: &[String]) -> Option<Cli> {

@@ -166,13 +166,11 @@ impl JobSpec {
             });
         }
         if let Some(value) = request.query_param("time_limit") {
-            let seconds: f64 = value
-                .parse()
-                .map_err(|_| format!("bad time_limit {value:?}"))?;
-            if !seconds.is_finite() || seconds < 0.0 {
-                return Err(format!("bad time_limit {value:?}"));
+            let limit = value.parse().ok().map(Duration::try_from_secs_f64);
+            match limit {
+                Some(Ok(limit)) => spec.time_limit = Some(limit),
+                _ => return Err(format!("bad time_limit {value:?}")),
             }
-            spec.time_limit = Some(Duration::from_secs_f64(seconds));
         }
         if let Some(value) = request.query_param("checkpoint_every") {
             spec.checkpoint_every = value
@@ -423,15 +421,34 @@ fn meta_text(job: &Job) -> String {
         job.spec
             .shards
             .map_or(String::from("-"), |n| n.to_string()),
-        job.spec
-            .time_limit
-            .map_or(String::from("-"), |d| d.as_millis().to_string()),
+        job.spec.time_limit.map_or(String::from("-"), millis_text),
         job.spec.checkpoint_every,
         job.seed_count,
         state.label(),
         termination,
         error,
     )
+}
+
+/// A duration as whole milliseconds, with a six-digit fraction only when
+/// it has sub-millisecond nanoseconds: exact for every `Duration`.
+fn millis_text(limit: Duration) -> String {
+    match limit.subsec_nanos() % 1_000_000 {
+        0 => limit.as_millis().to_string(),
+        ns => format!("{}.{ns:06}", limit.as_millis()),
+    }
+}
+
+/// The inverse of [`millis_text`].
+fn parse_millis(text: &str) -> Option<Duration> {
+    let (ms, ns) = match text.split_once('.') {
+        Some((ms, ns)) if ns.len() == 6 => (ms, ns.parse::<u32>().ok()?),
+        Some(_) => return None,
+        None => (text, 0),
+    };
+    let ms: u128 = ms.parse().ok()?;
+    let secs = u64::try_from(ms / 1000).ok()?;
+    Some(Duration::new(secs, (ms % 1000) as u32 * 1_000_000 + ns))
 }
 
 /// Parses a meta file back into `(spec, seed_count, state)`.
@@ -455,7 +472,7 @@ fn parse_meta(text: &str) -> Option<(JobSpec, usize, JobState)> {
     }
     match *fields.get("time_limit_ms")? {
         "-" => {}
-        ms => spec.time_limit = Some(Duration::from_millis(ms.parse().ok()?)),
+        ms => spec.time_limit = Some(parse_millis(ms)?),
     }
     let seed_count = fields.get("seed_count")?.parse().ok()?;
     let state = match *fields.get("state")? {
@@ -1187,6 +1204,7 @@ mod tests {
             ("shards=half", "shards"),
             ("time_limit=-2", "time_limit"),
             ("time_limit=inf", "time_limit"),
+            ("time_limit=1e300", "time_limit"),
             ("checkpoint_every=never", "checkpoint_every"),
         ] {
             let error = JobSpec::from_query(&request(query)).expect_err(query);
@@ -1211,6 +1229,20 @@ mod tests {
                     shards: Some(4),
                     time_limit: Some(Duration::from_millis(2500)),
                     checkpoint_every: 2,
+                },
+                JobState::Running,
+            ),
+            (
+                JobSpec {
+                    time_limit: Some(Duration::MAX),
+                    ..JobSpec::default()
+                },
+                JobState::Running,
+            ),
+            (
+                JobSpec {
+                    time_limit: Some(Duration::from_nanos(1_500_042)),
+                    ..JobSpec::default()
                 },
                 JobState::Running,
             ),

@@ -207,6 +207,27 @@ fn generate_respects_time_limit_flag() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A limit no `Duration` can hold is a usage error; one that `Duration`
+/// holds but the clock cannot reach runs without a deadline.
+#[test]
+fn huge_time_limits_are_refused_or_unbounded() {
+    let dir = workdir("huge-deadline");
+    let seeds = write_seeds(&dir);
+    let run = |limit: &str| {
+        bin()
+            .args(["generate", "--seeds"])
+            .arg(&seeds)
+            .args(["--budget", "300", "--time-limit", limit])
+            .output()
+            .expect("run sixgen")
+    };
+    assert_eq!(run("1e300").status.code(), Some(2));
+    let unbounded = run("1e19");
+    assert!(unbounded.status.success(), "{unbounded:?}");
+    assert_eq!(unbounded.stdout, run("1h").stdout);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn generate_metrics_out_emits_deterministic_json() {
     let dir = workdir("metrics");
