@@ -92,6 +92,24 @@ pub enum ClusterMode {
     Tight,
 }
 
+impl ClusterMode {
+    /// Stable lower-case label: the vocabulary of the CLI's `--mode`, the
+    /// serve API's `mode=` and the serve job meta file.
+    pub fn label(self) -> &'static str {
+        match self {
+            ClusterMode::Loose => "loose",
+            ClusterMode::Tight => "tight",
+        }
+    }
+
+    /// The mode a [`label`](ClusterMode::label) names, if any.
+    pub fn from_label(text: &str) -> Option<ClusterMode> {
+        [ClusterMode::Loose, ClusterMode::Tight]
+            .into_iter()
+            .find(|mode| mode.label() == text)
+    }
+}
+
 /// Configuration for a 6Gen run.
 #[derive(Debug, Clone)]
 pub struct Config {

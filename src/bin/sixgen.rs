@@ -36,16 +36,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sixgen::addr::NybbleAddr;
 use sixgen::addr::Prefix;
-use sixgen::core::{
-    resume_sharded_with, run_sharded_with, CheckpointWriter, ClusterMode, Config,
-    EngineCheckpoint, Outcome, Session, ShardSpec, ShardedCheckpoint, ShardedOutcome, SixGen,
-    SHARDED_MAGIC,
-};
+use sixgen::core::{ClusterMode, Config, SixGen};
 use sixgen::datasets::io::{read_hitlist_file, write_hitlist_binary_file, write_hitlist_file};
 use sixgen::datasets::split_groups;
 use sixgen::entropy_ip::{entropy_profile, EntropyIpConfig, EntropyIpModel};
 use sixgen::obs::{EventBus, MetricsRegistry, Observer, ObserverSources, TraceSink};
-use sixgen::routing::{partition_by_length, PrefixTable};
+use sixgen::routing::PrefixTable;
+use sixgen::run::{shard_specs, Checkpoint, Driver, Finished, Start};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -172,13 +169,7 @@ fn parse(args: &[String]) -> Option<Cli> {
         match arg.as_str() {
             "--seeds" => cli.seeds = Some(PathBuf::from(it.next()?)),
             "--budget" => cli.budget = Some(it.next()?.parse().ok()?),
-            "--mode" => {
-                cli.mode = match it.next()?.as_str() {
-                    "loose" => ClusterMode::Loose,
-                    "tight" => ClusterMode::Tight,
-                    _ => return None,
-                }
-            }
+            "--mode" => cli.mode = ClusterMode::from_label(it.next()?)?,
             "--out" => cli.out = Some(PathBuf::from(it.next()?)),
             "--binary" => cli.binary = true,
             "--groups" => cli.groups = it.next()?.parse().ok()?,
@@ -516,70 +507,6 @@ impl Observability {
     }
 }
 
-/// Runs the engine as a session, honouring `--resume`, `--checkpoint-out`,
-/// and `--checkpoint-every`. On resume the checkpoint is authoritative for
-/// the seed set and determinism fingerprint (`seeds` is ignored); an
-/// explicit `--budget` tops up the probe budget, otherwise the
-/// checkpoint's budget continues to apply.
-fn run_engine(cli: &Cli, seeds: Vec<NybbleAddr>, config: Config) -> Result<Outcome, String> {
-    let session = match &cli.resume {
-        Some(path) => {
-            let checkpoint = EngineCheckpoint::load(path)
-                .map_err(|e| format!("cannot load checkpoint {}: {e}", path.display()))?;
-            eprintln!(
-                "resuming from {} (round {}, {} targets already generated)",
-                path.display(),
-                checkpoint.rounds,
-                checkpoint.generated.len()
-            );
-            let config = Config {
-                mode: checkpoint.mode,
-                rng_seed: checkpoint.rng_seed,
-                unfused_growth: checkpoint.unfused_growth,
-                budget: cli.budget.unwrap_or(checkpoint.budget),
-                ..config
-            };
-            Session::resume(checkpoint, config)
-                .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?
-        }
-        None => SixGen::new(seeds, config).session(),
-    };
-    let Some(path) = &cli.checkpoint_out else {
-        if cli.checkpoint_every.is_some() {
-            return Err("--checkpoint-every requires --checkpoint-out".into());
-        }
-        return Ok(session.run());
-    };
-    let every = cli.checkpoint_every.unwrap_or(1).max(1);
-    let mut writer = CheckpointWriter::new(path);
-    let mut broken = false;
-    let outcome = session.run_with(|session| {
-        if broken || !session.rounds().is_multiple_of(every) {
-            return;
-        }
-        if let Err(e) = writer.write(&session.checkpoint()) {
-            eprintln!(
-                "warning: checkpoint write to {} failed persistently ({e}); \
-                 continuing without further checkpoints",
-                path.display()
-            );
-            broken = true;
-        }
-    });
-    if writer.writes() > 0 {
-        eprintln!(
-            "{} checkpoint(s) written to {}",
-            writer.writes(),
-            path.display()
-        );
-    }
-    Ok(outcome)
-}
-
-/// The shard granularity when no `--routes` table is given: group seeds
-/// under their enclosing /48, the typical BGP announcement size.
-const FALLBACK_SHARD_LEN: u8 = 48;
-
 /// Reads a routed-prefix table: one `PREFIX [ASN]` per line, with `#`
 /// comments and blank lines skipped. The ASN defaults to 0 when absent
 /// (sharding only needs the prefixes).
@@ -612,124 +539,51 @@ fn load_routes(path: &PathBuf) -> Result<PrefixTable, String> {
     Ok(PrefixTable::from_routes(routes))
 }
 
-/// Partitions seeds into shard specs: by routed prefix when `--routes`
-/// is given (seeds outside every routed prefix belong to no scannable
-/// shard and are dropped with a warning), else by their /48.
-fn shard_specs(cli: &Cli, seeds: Vec<NybbleAddr>) -> Result<Vec<ShardSpec>, String> {
-    let groups = match &cli.routes {
-        Some(path) => {
-            let table = load_routes(path)?;
-            let (routed, unrouted) = table.partition(seeds);
-            if !unrouted.is_empty() {
-                eprintln!(
-                    "warning: dropping {} seed(s) outside every routed prefix",
-                    unrouted.len()
-                );
+/// Where `generate` starts: the `--resume` checkpoint (its magic decides
+/// engine or fleet), else the seeds as a fleet with `--shards` (by
+/// `--routes` prefix, else by /48) or as one engine.
+fn generate_start(cli: &Cli) -> Result<Start, String> {
+    if let Some(path) = &cli.resume {
+        return match Start::resume(path)? {
+            Start::Resume {
+                checkpoint: Checkpoint::Engine(_),
+                ..
+            } if cli.shards.is_some() => {
+                Err("cannot resume a single-engine checkpoint as a sharded fleet".into())
             }
-            routed
-        }
-        None => partition_by_length(seeds, FALLBACK_SHARD_LEN),
-    };
-    if groups.is_empty() {
+            start => Ok(start),
+        };
+    }
+    let seeds = load_seeds(cli)?;
+    if cli.shards.is_none() {
+        return Ok(Start::Seeds(seeds));
+    }
+    let routes = cli.routes.as_ref().map(load_routes).transpose()?;
+    let (specs, unrouted) = shard_specs(seeds, routes.as_ref());
+    if unrouted > 0 {
+        eprintln!("warning: dropping {unrouted} seed(s) outside every routed prefix");
+    }
+    if specs.is_empty() {
         return Err("no seeds fall inside any shard".into());
     }
-    Ok(groups
-        .into_iter()
-        .map(|(prefix, seeds)| ShardSpec { prefix, seeds })
-        .collect())
+    Ok(Start::Shards(specs))
 }
 
-/// True when `--resume` points at a sharded fleet envelope (magic
-/// `6GSH`) rather than a single-engine checkpoint (`6GSN`).
-fn resume_is_sharded(path: &PathBuf) -> Result<bool, String> {
-    use std::io::Read;
-    let mut magic = [0u8; 4];
-    let mut file = std::fs::File::open(path)
-        .map_err(|e| format!("cannot open checkpoint {}: {e}", path.display()))?;
-    file.read_exact(&mut magic)
-        .map_err(|e| format!("cannot read checkpoint {}: {e}", path.display()))?;
-    Ok(magic == SHARDED_MAGIC)
-}
-
-/// Runs (or resumes) a sharded fleet, writing envelope checkpoints at
-/// epoch barriers when `--checkpoint-out` is set. On resume the
-/// envelope is authoritative for the determinism fingerprint (seed
-/// sets, mode, RNG seed); an explicit `--budget` raises the global
-/// budget and the extra headroom is leased to hungry shards.
-fn run_fleet(cli: &Cli, config: Config) -> Result<ShardedOutcome, String> {
-    let workers = cli.shards.unwrap_or(0);
+/// Runs `start` under the flags' engine config, checkpoint cadence and
+/// observers. On resume the checkpoint carries the seed set and
+/// determinism fingerprint, and `--budget` (if given) tops up its budget.
+fn drive(
+    cli: &Cli,
+    start: Start,
+    metrics: &Option<Arc<MetricsRegistry>>,
+    trace: &Option<Arc<TraceSink>>,
+    live: &Observability,
+) -> Result<Finished, String> {
     if cli.checkpoint_every.is_some() && cli.checkpoint_out.is_none() {
         return Err("--checkpoint-every requires --checkpoint-out".into());
     }
-    let every = cli.checkpoint_every.unwrap_or(1).max(1);
-    let mut writer = cli.checkpoint_out.as_ref().map(CheckpointWriter::new);
-    let mut broken = false;
-    let mut at_barrier = |envelope: &ShardedCheckpoint| {
-        let Some(writer) = writer.as_mut() else { return };
-        if broken || !envelope.epochs.is_multiple_of(every) {
-            return;
-        }
-        if let Err(e) = writer.write_sharded(envelope) {
-            let path = cli.checkpoint_out.as_ref().expect("writer implies a path");
-            eprintln!(
-                "warning: checkpoint write to {} failed persistently ({e}); \
-                 continuing without further checkpoints",
-                path.display()
-            );
-            broken = true;
-        }
-    };
-    let outcome = match &cli.resume {
-        Some(path) => {
-            let envelope = ShardedCheckpoint::load(path)
-                .map_err(|e| format!("cannot load checkpoint {}: {e}", path.display()))?;
-            eprintln!(
-                "resuming sharded fleet from {} ({} shards, epoch {})",
-                path.display(),
-                envelope.shards.len(),
-                envelope.epochs
-            );
-            let config = Config {
-                rng_seed: envelope.rng_seed,
-                budget: cli.budget.unwrap_or(envelope.budget),
-                mode: envelope
-                    .shards
-                    .first()
-                    .map_or(config.mode, |s| s.engine.mode),
-                unfused_growth: envelope
-                    .shards
-                    .first()
-                    .map_or(config.unfused_growth, |s| s.engine.unfused_growth),
-                ..config
-            };
-            resume_sharded_with(envelope, config, workers, &mut at_barrier)
-                .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?
-        }
-        None => {
-            let specs = shard_specs(cli, load_seeds(cli)?)?;
-            run_sharded_with(specs, config, workers, &mut at_barrier)
-        }
-    };
-    if let (Some(writer), Some(path)) = (&writer, &cli.checkpoint_out) {
-        if writer.writes() > 0 {
-            eprintln!(
-                "{} checkpoint(s) written to {}",
-                writer.writes(),
-                path.display()
-            );
-        }
-    }
-    Ok(outcome)
-}
-
-fn cmd_generate_sharded(cli: &Cli) -> Result<(), String> {
-    let metrics = metrics_registry(cli);
-    let trace = trace_sink(cli)?;
-    let live = observability(cli, &metrics, &trace)?;
-    let fleet = run_fleet(
-        cli,
-        Config {
-            budget: budget(cli),
+    Driver {
+        config: Config {
             mode: cli.mode,
             threads: 0,
             rng_seed: cli.rng_seed,
@@ -739,90 +593,61 @@ fn cmd_generate_sharded(cli: &Cli) -> Result<(), String> {
             events: live.bus.clone(),
             ..Config::default()
         },
-    )?;
-    live.finish()?;
-    for shard in fleet.shards.iter().take(24) {
-        eprintln!(
-            "  shard {:<32} {:>9} targets, lease {} (returned {}), stopped: {:?}",
-            shard.prefix.to_string(),
-            shard.outcome.targets.len(),
-            shard.lease,
-            shard.returned,
-            shard.outcome.stats.termination,
-        );
+        budget: cli.budget,
+        workers: cli.shards.unwrap_or(0),
+        checkpoint: cli.checkpoint_out.as_deref(),
+        every: cli.checkpoint_every.unwrap_or(1),
+        publish: None,
     }
-    if fleet.shards.len() > 24 {
-        eprintln!("  ... and {} more shards", fleet.shards.len() - 24);
-    }
-    eprintln!(
-        "6Gen sharded: {} targets from {} shards ({} epochs, {} workers, budget {}/{} used)",
-        fleet.targets.len(),
-        fleet.shards.len(),
-        fleet.stats.epochs,
-        fleet.stats.workers,
-        fleet.stats.budget_used,
-        fleet.stats.budget,
-    );
-    write_metrics(cli, &metrics)?;
-    write_trace(cli, &trace)?;
-    write_targets(cli, fleet.targets.as_slice())
+    .run(start)
 }
 
 fn cmd_generate(cli: &Cli) -> Result<(), String> {
     if cli.routes.is_some() && cli.shards.is_none() {
         return Err("--routes requires --shards".into());
     }
-    // The checkpoint's magic routes a resume; otherwise --shards decides.
-    let sharded = match &cli.resume {
-        Some(path) => {
-            let sharded = resume_is_sharded(path)?;
-            if !sharded && cli.shards.is_some() {
-                return Err(
-                    "cannot resume a single-engine checkpoint as a sharded fleet".into()
-                );
-            }
-            sharded
-        }
-        None => cli.shards.is_some(),
-    };
-    if sharded {
-        return cmd_generate_sharded(cli);
-    }
-    // On resume the checkpoint carries the seed set; --seeds is not needed.
-    let seeds = if cli.resume.is_some() {
-        Vec::new()
-    } else {
-        load_seeds(cli)?
-    };
+    let start = generate_start(cli)?;
     let metrics = metrics_registry(cli);
     let trace = trace_sink(cli)?;
     let live = observability(cli, &metrics, &trace)?;
-    let outcome = run_engine(
-        cli,
-        seeds,
-        Config {
-            budget: budget(cli),
-            mode: cli.mode,
-            threads: 0,
-            rng_seed: cli.rng_seed,
-            time_limit: cli.time_limit,
-            metrics: metrics.clone(),
-            trace: trace.clone(),
-            events: live.bus.clone(),
-            ..Config::default()
-        },
-    )?;
+    let finished = drive(cli, start, &metrics, &trace, &live)?;
     live.finish()?;
-    eprintln!(
-        "6Gen: {} targets from {} seeds ({} clusters, stopped: {:?})",
-        outcome.targets.len(),
-        outcome.stats.seed_count,
-        outcome.clusters.len(),
-        outcome.stats.termination,
-    );
+    match &finished {
+        Finished::Single(outcome) => eprintln!(
+            "6Gen: {} targets from {} seeds ({} clusters, stopped: {:?})",
+            outcome.targets.len(),
+            outcome.stats.seed_count,
+            outcome.clusters.len(),
+            outcome.stats.termination,
+        ),
+        Finished::Fleet(fleet) => {
+            for shard in fleet.shards.iter().take(24) {
+                eprintln!(
+                    "  shard {:<32} {:>9} targets, lease {} (returned {}), stopped: {:?}",
+                    shard.prefix.to_string(),
+                    shard.outcome.targets.len(),
+                    shard.lease,
+                    shard.returned,
+                    shard.outcome.stats.termination,
+                );
+            }
+            if fleet.shards.len() > 24 {
+                eprintln!("  ... and {} more shards", fleet.shards.len() - 24);
+            }
+            eprintln!(
+                "6Gen sharded: {} targets from {} shards ({} epochs, {} workers, budget {}/{} used)",
+                fleet.targets.len(),
+                fleet.shards.len(),
+                fleet.stats.epochs,
+                fleet.stats.workers,
+                fleet.stats.budget_used,
+                fleet.stats.budget,
+            );
+        }
+    }
     write_metrics(cli, &metrics)?;
     write_trace(cli, &trace)?;
-    write_targets(cli, outcome.targets.as_slice())
+    write_targets(cli, finished.targets())
 }
 
 fn cmd_analyze(cli: &Cli) -> Result<(), String> {
@@ -898,6 +723,9 @@ fn cmd_simulate(cli: &Cli) -> Result<(), String> {
         HostScheme, Internet, NetworkSpec, ProbeConfig, Prober, RetryPolicy, SeedExtraction,
     };
 
+    if cli.shards.is_some() || cli.routes.is_some() {
+        return Err("simulate runs one engine; it takes no --shards or --routes".into());
+    }
     let mut faults: Vec<Box<dyn FaultModel>> = Vec::new();
     if cli.bursty {
         faults.push(Box::new(
@@ -960,22 +788,20 @@ fn cmd_simulate(cli: &Cli) -> Result<(), String> {
         .into_iter()
         .map(|record| record.addr)
         .collect();
-    let live = observability(cli, &metrics, &trace)?;
-    let outcome = run_engine(
-        cli,
-        seeds.clone(),
-        Config {
-            budget: budget(cli),
-            mode: cli.mode,
-            threads: 0,
-            rng_seed: cli.rng_seed,
-            time_limit: cli.time_limit,
-            metrics: metrics.clone(),
-            trace: trace.clone(),
-            events: live.bus.clone(),
-            ..Config::default()
+    let start = match &cli.resume {
+        Some(path) => match Start::resume(path)? {
+            Start::Resume {
+                checkpoint: Checkpoint::Sharded(_),
+                ..
+            } => return Err("simulate cannot resume a sharded checkpoint".into()),
+            start => start,
         },
-    )?;
+        None => Start::Seeds(seeds),
+    };
+    let live = observability(cli, &metrics, &trace)?;
+    let Finished::Single(outcome) = drive(cli, start, &metrics, &trace, &live)? else {
+        unreachable!("simulate starts no fleet");
+    };
     eprintln!(
         "6Gen: {} targets from {} seeds (stopped: {:?})",
         outcome.targets.len(),

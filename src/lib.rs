@@ -9,6 +9,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod run;
 pub mod serve;
 
 pub use sixgen_addr as addr;

@@ -50,7 +50,11 @@
 //! persisted targets; unfinished jobs resume from their checkpoint (or
 //! restart from seeds when none was written yet) and — generation
 //! being deterministic — regenerate the identical stream, so a client
-//! reconnecting with `from=N` loses nothing and sees no duplicates.
+//! reconnecting with `from=N` loses nothing and sees no duplicates. The
+//! run itself is one [`Driver`] call (see [`crate::run`]), which owns the
+//! resume, the checkpoint cadence and the checkpoint-before-publish
+//! order. A cancelled job also leaves a final checkpoint; it is never
+//! read again, because a finished job serves its persisted targets.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,26 +64,18 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::addr::NybbleAddr;
-use crate::core::{
-    resume_sharded_with, run_sharded_with, CancelToken, CheckpointWriter, ClusterMode, Config,
-    EngineCheckpoint, Session, ShardSpec, ShardedCheckpoint, SixGen, WorkerPool,
-};
+use crate::core::{CancelToken, ClusterMode, Config, WorkerPool};
 use crate::datasets::io::{read_hitlist, read_hitlist_file, write_hitlist};
 use crate::obs::{
     escape_json, observer_response, status_json, write_atomic, EventBus, HttpHandler, HttpServer,
     MetricsRegistry, ObserverSources, Request, Response,
 };
-use crate::routing::partition_by_length;
+use crate::run::{shard_specs, Driver, Finished, Start};
 
 /// Default handler-pool size for `sixgen serve`: each in-flight target
 /// stream occupies one slot for its duration, and the rest keep
 /// `/healthz` and job control responsive.
 pub const DEFAULT_SERVE_THREADS: usize = 4;
-
-/// Shard granularity for sharded jobs (no routes table over HTTP yet):
-/// group seeds under their enclosing /48, the typical BGP announcement
-/// size — the same fallback `sixgen generate --shards` uses.
-const FALLBACK_SHARD_LEN: u8 = 48;
 
 /// How long a target-stream handler sleeps on the feed condvar before
 /// re-checking for server shutdown.
@@ -124,23 +120,6 @@ impl Default for JobSpec {
     }
 }
 
-/// Stable lower-case label for a cluster mode (query-param and meta-file
-/// vocabulary).
-fn mode_label(mode: ClusterMode) -> &'static str {
-    match mode {
-        ClusterMode::Loose => "loose",
-        ClusterMode::Tight => "tight",
-    }
-}
-
-fn parse_mode(text: &str) -> Option<ClusterMode> {
-    match text {
-        "loose" => Some(ClusterMode::Loose),
-        "tight" => Some(ClusterMode::Tight),
-        _ => None,
-    }
-}
-
 impl JobSpec {
     /// Parses a spec from request query parameters, rejecting unknown
     /// values with a diagnostic.
@@ -152,7 +131,7 @@ impl JobSpec {
                 .map_err(|_| format!("bad budget {value:?}"))?;
         }
         if let Some(value) = request.query_param("mode") {
-            spec.mode = parse_mode(value).ok_or_else(|| format!("bad mode {value:?}"))?;
+            spec.mode = ClusterMode::from_label(value).ok_or_else(|| format!("bad mode {value:?}"))?;
         }
         if let Some(value) = request.query_param("rng_seed") {
             spec.rng_seed = value
@@ -416,7 +395,7 @@ fn meta_text(job: &Job) -> String {
          termination={}\nerror={}\n",
         job.id,
         job.spec.budget,
-        mode_label(job.spec.mode),
+        job.spec.mode.label(),
         job.spec.rng_seed,
         job.spec
             .shards
@@ -460,7 +439,7 @@ fn parse_meta(text: &str) -> Option<(JobSpec, usize, JobState)> {
     let fields: BTreeMap<&str, &str> = lines.filter_map(|l| l.split_once('=')).collect();
     let mut spec = JobSpec {
         budget: fields.get("budget")?.parse().ok()?,
-        mode: parse_mode(fields.get("mode")?)?,
+        mode: ClusterMode::from_label(fields.get("mode")?)?,
         rng_seed: fields.get("rng_seed")?.parse().ok()?,
         shards: None,
         time_limit: None,
@@ -706,9 +685,10 @@ impl JobManager {
         let handle = std::thread::Builder::new()
             .name(format!("sixgen-job-{}", job.id))
             .spawn(move || {
-                let run = catch_unwind(AssertUnwindSafe(|| manager.run_job(&job, seeds)));
+                let run = catch_unwind(AssertUnwindSafe(|| manager.run_job(&job, seeds)))
+                    .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
                 match run {
-                    Ok(Ok(termination)) => {
+                    Ok(termination) => {
                         job.set_state(JobState::Done { termination });
                         manager.metrics.counter("serve/jobs_done").add(1);
                         // Durability before visibility: persist the final
@@ -718,16 +698,7 @@ impl JobManager {
                         manager.persist_state(&job);
                         job.feed.complete();
                     }
-                    Ok(Err(message)) => {
-                        job.set_state(JobState::Failed {
-                            error: message.clone(),
-                        });
-                        manager.metrics.counter("serve/jobs_failed").add(1);
-                        manager.persist_state(&job);
-                        job.feed.fail(message);
-                    }
-                    Err(payload) => {
-                        let message = panic_message(payload.as_ref());
+                    Err(message) => {
                         job.set_state(JobState::Failed {
                             error: message.clone(),
                         });
@@ -769,172 +740,40 @@ impl JobManager {
     fn run_job(&self, job: &Arc<Job>, seeds: Vec<NybbleAddr>) -> Result<String, String> {
         let spec = &job.spec;
         job.bus.set_budget_total(spec.budget);
-        let config = Config {
-            budget: spec.budget,
-            mode: spec.mode,
-            threads: 0,
-            rng_seed: spec.rng_seed,
-            time_limit: spec.time_limit,
-            metrics: Some(Arc::clone(&job.metrics)),
-            events: Some(Arc::clone(&job.bus)),
-            cancel: Some(job.cancel.clone()),
-            pool: Some(Arc::clone(&self.pool)),
-            ..Config::default()
-        };
-        match spec.shards {
-            None => self.run_single(job, seeds, config),
-            Some(workers) => self.run_fleet(job, seeds, config, workers),
-        }
-    }
-
-    fn run_single(
-        &self,
-        job: &Arc<Job>,
-        seeds: Vec<NybbleAddr>,
-        config: Config,
-    ) -> Result<String, String> {
-        let spec = &job.spec;
         // A loadable checkpoint means a previous server died mid-run:
-        // resume from its round boundary. Determinism makes the resumed
-        // stream identical to the uninterrupted one.
-        let resume = job
-            .checkpoint
-            .as_ref()
-            .and_then(|path| EngineCheckpoint::load(path).ok());
-        let session = match resume {
-            Some(checkpoint) => {
-                let config = Config {
-                    mode: checkpoint.mode,
-                    rng_seed: checkpoint.rng_seed,
-                    unfused_growth: checkpoint.unfused_growth,
-                    budget: spec.budget.max(checkpoint.budget),
-                    ..config
-                };
-                Session::resume(checkpoint, config)
-                    .map_err(|e| format!("cannot resume from checkpoint: {e}"))?
-            }
-            None => SixGen::new(seeds, config).session(),
+        // resume from its boundary. Determinism makes the resumed stream
+        // identical to the uninterrupted one.
+        let start = match job.checkpoint.as_deref().map(Start::resume) {
+            Some(Ok(resume)) => resume,
+            _ if spec.shards.is_none() => Start::Seeds(seeds),
+            _ => Start::Shards(shard_specs(seeds, None).0),
         };
-        // Prefill the feed with the resumed run's already-generated
-        // prefix (no-op for fresh sessions).
-        job.feed.publish_prefix(session.targets_so_far());
-        let every = spec.checkpoint_every.max(1);
-        let mut writer = job.checkpoint.as_ref().map(CheckpointWriter::new);
-        let mut broken = false;
-        let outcome = session.run_with(|session| {
-            // Durability before visibility: the round's checkpoint lands
-            // before the round's targets are published to the stream.
-            if let Some(writer) = writer.as_mut() {
-                if !broken && session.rounds().is_multiple_of(every) {
-                    if let Err(e) = writer.write(&session.checkpoint()) {
-                        eprintln!(
-                            "warning: job checkpoint write failed persistently ({e}); \
-                             continuing without further checkpoints"
-                        );
-                        broken = true;
-                    }
-                }
-            }
-            job.feed.publish_prefix(session.targets_so_far());
-        });
-        // The terminal round (final sampling, exhaustion) appends past
-        // the last boundary publish.
-        job.feed.publish_prefix(outcome.targets.as_slice());
-        Ok(outcome.stats.termination.label().to_string())
-    }
-
-    fn run_fleet(
-        &self,
-        job: &Arc<Job>,
-        seeds: Vec<NybbleAddr>,
-        config: Config,
-        workers: usize,
-    ) -> Result<String, String> {
-        let spec = &job.spec;
-        let every = spec.checkpoint_every.max(1);
-        let mut writer = job.checkpoint.as_ref().map(CheckpointWriter::new);
-        let mut broken = false;
-        let resume = job
-            .checkpoint
-            .as_ref()
-            .and_then(|path| ShardedCheckpoint::load(path).ok());
-        let bus = Arc::clone(&job.bus);
-        let feed_job = Arc::clone(job);
-        let at_barrier = |envelope: &ShardedCheckpoint| {
-            if let Some(writer) = writer.as_mut() {
-                if !broken && envelope.epochs.is_multiple_of(every) {
-                    if let Err(e) = writer.write_sharded(envelope) {
-                        eprintln!(
-                            "warning: job checkpoint write failed persistently ({e}); \
-                             continuing without further checkpoints"
-                        );
-                        broken = true;
-                    }
-                }
-            }
-            // Stream the stable prefix of the fleet merge: full target
-            // lists of terminated shards (prefix order), then the first
-            // live shard's committed prefix. Every published byte is
-            // final — later epochs only append.
-            feed_job
-                .feed
-                .publish_prefix(&stable_fleet_prefix(envelope, &bus));
-        };
-        let fleet = match resume {
-            Some(envelope) => {
-                let config = Config {
-                    rng_seed: envelope.rng_seed,
-                    budget: spec.budget.max(envelope.budget),
-                    mode: envelope
-                        .shards
-                        .first()
-                        .map_or(config.mode, |s| s.engine.mode),
-                    unfused_growth: envelope
-                        .shards
-                        .first()
-                        .map_or(config.unfused_growth, |s| s.engine.unfused_growth),
-                    ..config
-                };
-                resume_sharded_with(envelope, config, workers, at_barrier)
-                    .map_err(|e| format!("cannot resume fleet from checkpoint: {e}"))?
-            }
-            None => {
-                let specs: Vec<ShardSpec> = partition_by_length(seeds, FALLBACK_SHARD_LEN)
-                    .into_iter()
-                    .map(|(prefix, seeds)| ShardSpec { prefix, seeds })
-                    .collect();
-                run_sharded_with(specs, config, workers, at_barrier)
-            }
-        };
-        job.feed.publish_prefix(&fleet.targets);
-        Ok(if job.cancel.is_cancelled() {
-            "cancelled".to_string()
-        } else {
-            "complete".to_string()
-        })
-    }
-}
-
-/// The streamable prefix of a fleet merge at an epoch barrier: each
-/// shard's generated list is append-only and the merge concatenates
-/// them in prefix order, so everything up to (and including the
-/// committed prefix of) the first non-terminated shard is final. Shard
-/// termination comes from the job's event bus — the driver publishes
-/// `ShardDone` before the barrier fires.
-fn stable_fleet_prefix(envelope: &ShardedCheckpoint, bus: &EventBus) -> Vec<NybbleAddr> {
-    let progress = bus.progress();
-    let mut stable = Vec::new();
-    for (index, shard) in envelope.shards.iter().enumerate() {
-        let done = progress
-            .shards
-            .get(index)
-            .is_some_and(|s| s.termination.is_some());
-        stable.extend_from_slice(&shard.engine.generated);
-        if !done {
-            break;
+        let finished = Driver {
+            config: Config {
+                mode: spec.mode,
+                threads: 0,
+                rng_seed: spec.rng_seed,
+                time_limit: spec.time_limit,
+                metrics: Some(Arc::clone(&job.metrics)),
+                events: Some(Arc::clone(&job.bus)),
+                cancel: Some(job.cancel.clone()),
+                pool: Some(Arc::clone(&self.pool)),
+                ..Config::default()
+            },
+            budget: Some(spec.budget),
+            workers: spec.shards.unwrap_or(0),
+            checkpoint: job.checkpoint.as_deref(),
+            every: spec.checkpoint_every,
+            publish: Some(&|targets| job.feed.publish_prefix(targets)),
         }
+        .run(start)?;
+        Ok(match finished {
+            Finished::Single(outcome) => outcome.stats.termination.label(),
+            Finished::Fleet(_) if job.cancel.is_cancelled() => "cancelled",
+            Finished::Fleet(_) => "complete",
+        }
+        .to_string())
     }
-    stable
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1035,7 +874,7 @@ impl ServeApi {
             error,
             job.seed_count,
             job.spec.budget,
-            mode_label(job.spec.mode),
+            job.spec.mode.label(),
             job.spec.rng_seed,
             job.spec
                 .shards

@@ -549,6 +549,152 @@ fn checkpoint_every_requires_checkpoint_out() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A deadline stop writes a checkpoint whatever the cadence, and resuming
+/// it finishes the run as if it had never stopped.
+#[test]
+fn deadline_stop_checkpoints_and_resumes_byte_identical() {
+    let dir = workdir("deadline-resume");
+    let seeds = write_ladder_seeds(&dir);
+    let baseline = dir.join("baseline.txt");
+    let status = bin()
+        .args(["generate", "--seeds"])
+        .arg(&seeds)
+        .args(["--budget", "300", "--out"])
+        .arg(&baseline)
+        .status()
+        .expect("run sixgen");
+    assert!(status.success());
+
+    let ckpt = dir.join("run.ckpt");
+    let output = bin()
+        .args(["generate", "--seeds"])
+        .arg(&seeds)
+        .args(["--budget", "300", "--checkpoint-out"])
+        .arg(&ckpt)
+        .args(["--checkpoint-every", "1000", "--time-limit", "0ms", "--out"])
+        .arg(dir.join("stopped.txt"))
+        .output()
+        .expect("run sixgen");
+    assert!(output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("stopped: Deadline"), "{stderr}");
+    assert!(stderr.contains("1 checkpoint(s) written"), "{stderr}");
+
+    let resumed = dir.join("resumed.txt");
+    let output = bin()
+        .args(["generate", "--resume"])
+        .arg(&ckpt)
+        .arg("--out")
+        .arg(&resumed)
+        .output()
+        .expect("run sixgen");
+    assert!(output.status.success(), "{output:?}");
+    assert_eq!(
+        std::fs::read(&baseline).unwrap(),
+        std::fs::read(&resumed).unwrap(),
+        "resuming the deadline checkpoint diverged from the uninterrupted run"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn simulate_refuses_fleet_flags() {
+    for flags in [
+        &["--shards", "2", "--routes", "nonexistent.txt"][..],
+        &["--shards", "2"],
+        &["--routes", "nonexistent.txt"],
+    ] {
+        let output = bin()
+            .args(["simulate", "--hosts", "50"])
+            .args(flags)
+            .output()
+            .expect("run sixgen");
+        assert_eq!(output.status.code(), Some(1), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("--shards or --routes"),
+            "{flags:?}: {stderr}"
+        );
+    }
+}
+
+/// The fleet is a wall-clock knob: one worker and two write the same
+/// bytes, a barrier checkpoint resumes to them, and a single-engine
+/// checkpoint cannot be resumed as a fleet.
+#[test]
+fn sharded_runs_match_and_resume_byte_identical() {
+    let dir = workdir("sharded");
+    let seeds = dir.join("fleet.txt");
+    let mut text = String::new();
+    for p in 0..6u32 {
+        for g in 1..=3u32 {
+            for h in [0u32, 4, 9] {
+                text.push_str(&format!("2001:db8:{p}:{g}::{h}\n"));
+            }
+        }
+    }
+    std::fs::write(&seeds, text).expect("write seeds");
+    let generate = |extra: &[&str], out: &PathBuf| {
+        let output = bin()
+            .args(["generate", "--budget", "2000"])
+            .args(extra)
+            .arg("--out")
+            .arg(out)
+            .output()
+            .expect("run sixgen");
+        assert!(output.status.success(), "{extra:?}: {output:?}");
+        std::fs::read(out).expect("targets written")
+    };
+    let seeds_arg = seeds.to_str().unwrap();
+    let ckpt = dir.join("fleet.ckpt");
+    let ckpt_arg = ckpt.to_str().unwrap();
+    let one = generate(
+        &["--seeds", seeds_arg, "--shards", "1"],
+        &dir.join("one.txt"),
+    );
+    let two = generate(
+        &[
+            "--seeds",
+            seeds_arg,
+            "--shards",
+            "2",
+            "--checkpoint-out",
+            ckpt_arg,
+            "--checkpoint-every",
+            "1",
+        ],
+        &dir.join("two.txt"),
+    );
+    assert!(!one.is_empty());
+    assert_eq!(one, two, "worker count changed the fleet's output");
+    let resumed = generate(&["--resume", ckpt_arg], &dir.join("resumed.txt"));
+    assert_eq!(one, resumed, "resumed fleet diverged");
+
+    let single = dir.join("single.ckpt");
+    generate(
+        &[
+            "--seeds",
+            seeds_arg,
+            "--checkpoint-out",
+            single.to_str().unwrap(),
+        ],
+        &dir.join("single.txt"),
+    );
+    let output = bin()
+        .args(["generate", "--resume"])
+        .arg(&single)
+        .args(["--shards", "2"])
+        .output()
+        .expect("run sixgen");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("cannot resume a single-engine checkpoint as a sharded fleet"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn trace_stream_writes_incremental_document() {
     let dir = workdir("trace-stream");
